@@ -9,7 +9,8 @@
      TABLE3   space overheads
      FIG1/PQL the layered two-server scenario + the paper's sample query
      ABLATION cycle avoidance vs PASSv1 detection; dedup; WAP; NFS txns
-     MICRO    Bechamel microbenchmarks (one per table) *)
+     MICRO    Bechamel microbenchmarks (one per table)
+     HOST     the simulator's own allocated words per Table 2 run *)
 
 module Record = Pass_core.Record
 module Pvalue = Pass_core.Pvalue
@@ -934,10 +935,66 @@ let self_check () =
   in
   (ok, J.Obj [ ("ok", J.Bool ok); ("counters", counters) ])
 
+(* --- HOST: the simulator's own allocation ------------------------------------ *)
+
+(* Words allocated on the host (minor + major - promoted).  The minor heap
+   is flushed first: OCaml 5 folds the live minor heap into these counters
+   only at a collection, so without it a reading lags by up to a minor
+   heap. *)
+let host_words () =
+  Gc.minor ();
+  let s = Gc.quick_stat () in
+  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+
+(* Allocated words per Table 2 run for the workloads whose host cost the
+   substrate dominates.  Reported, not gated: allocation differs across
+   compilers, so pins wait for the generic benchdiff pin list.  Each run
+   gets a fresh registry, so nothing here reaches another section's
+   artifacts. *)
+let host_bench ~scale =
+  section "HOST: allocated words per Table 2 run";
+  let local mode (w : Runner.workload) =
+    let sys = Runner.local_system ~registry:(Telemetry.create ()) mode in
+    w.Runner.run sys;
+    ignore (System.drain sys : int)
+  in
+  let pa_nfs (w : Runner.workload) =
+    let sys, server = Runner.nfs_system ~registry:(Telemetry.create ()) System.Pass in
+    w.Runner.run sys;
+    ignore (System.drain sys : int);
+    ignore (Server.drain server : int)
+  in
+  let configs =
+    [ ("ext3", local System.Vanilla); ("passv2", local System.Pass); ("pa_nfs", pa_nfs) ]
+  in
+  let wls =
+    List.filter
+      (fun (w : Runner.workload) ->
+        List.mem w.Runner.wl_name [ "Postmark"; "Mercurial Activity"; "Blast" ])
+      (Runner.standard ~scale ())
+  in
+  let rows =
+    List.map
+      (fun (w : Runner.workload) ->
+        let runs =
+          List.map
+            (fun (config, run) ->
+              let before = host_words () in
+              run w;
+              let words = int_of_float (host_words () -. before) in
+              Printf.printf "  %-20s %-7s %12d words\n" w.Runner.wl_name config words;
+              (config, J.Int words))
+            configs
+        in
+        (w.Runner.wl_name, J.Obj runs))
+      wls
+  in
+  J.Obj [ ("alloc_words", J.Obj rows) ]
+
 let results_file = "BENCH_results.json"
 
 let write_results ~scale ~registry ~local ~nfs ~space ~self_check ~faults ~trace ~monitor
-    ~recovery ~query ~micro =
+    ~recovery ~query ~micro ~host =
   let row_json (r : Runner.row) =
     J.Obj
       [
@@ -989,6 +1046,7 @@ let write_results ~scale ~registry ~local ~nfs ~space ~self_check ~faults ~trace
         ("query", query);
         ("telemetry", Telemetry.snapshot registry);
         ("micro", micro_json);
+        ("host", host);
       ]
   in
   let oc = open_out results_file in
@@ -1016,7 +1074,8 @@ let () =
   let query_ok, query = query_bench ~scale in
   let micro = microbench () in
   let check_ok, self_check = self_check () in
+  let host = host_bench ~scale in
   write_results ~scale ~registry ~local ~nfs ~space ~self_check ~faults ~trace ~monitor
-    ~recovery ~query ~micro;
+    ~recovery ~query ~micro ~host;
   Printf.printf "\ndone.\n";
   if not (check_ok && faults_ok && trace_ok && monitor_ok && recovery_ok && query_ok) then exit 1

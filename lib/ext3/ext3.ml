@@ -34,6 +34,7 @@ type t = {
   mutable next_ino : Vfs.ino;
   mutable next_free_block : int;
   mutable journal_tail : int; (* byte offset within the journal region *)
+  mutable epoch : int; (* compaction pass the journal's frames belong to *)
   mutable data_blocks_allocated : int;
   mutable journal_bytes_written : int;
   mutable metadata_ops : int;
@@ -50,6 +51,18 @@ type t = {
 
 let root_ino = 1
 let frame_magic = 0x4A453301 (* "JE3." *)
+
+(* Compaction rewrites the journal from offset 0 and leaves the previous
+   pass's frames behind the new tail.  Each pass therefore stamps its
+   frames with an epoch (xored into the low bits of the magic), and
+   replay stops at the first frame of another epoch — otherwise a tail
+   that lands on an old frame boundary would resurrect stale frames.
+   Epoch 0 is the plain magic, so a journal that never compacts is
+   byte-identical to an unstamped one.  Epochs wrap at [epoch_limit];
+   a stale frame would have to survive that many passes to be
+   mistaken for a live one. *)
+let epoch_limit = 0x10000
+let epoch_magic epoch = frame_magic lxor epoch
 
 (* --- journal frames ------------------------------------------------------ *)
 
@@ -225,7 +238,7 @@ let rec journal_append t rec_ =
   in
   let frame =
     let buf = Buffer.create (String.length payload + 12) in
-    Wire.put_u32 buf frame_magic;
+    Wire.put_u32 buf (epoch_magic t.epoch);
     Wire.put_u32 buf (String.length payload);
     Wire.put_u32 buf (checksum payload);
     Buffer.add_string buf payload;
@@ -245,6 +258,7 @@ let rec journal_append t rec_ =
 and compact_journal t =
   let snap = J_snapshot (encode_snapshot t) in
   t.journal_tail <- 0;
+  t.epoch <- (t.epoch + 1) mod epoch_limit;
   journal_append t snap
 
 let log_op t rec_ =
@@ -266,6 +280,7 @@ let make ?(jblocks = default_jblocks) disk =
     next_ino = root_ino + 1;
     next_free_block = 8 + default_jblocks;
     journal_tail = 0;
+    epoch = 0;
     data_blocks_allocated = 0;
     journal_bytes_written = 0;
     metadata_ops = 0;
@@ -315,7 +330,11 @@ let mount ?jblocks disk =
        let header = Simdisk.Disk.read_bytes disk ~off:(region_off + !pos) ~len:12 in
        let hp = ref 0 in
        let magic = Wire.get_u32 header hp in
-       if magic <> frame_magic then continue := false
+       (* the head frame names the live epoch; every later frame must
+          carry the same one *)
+       if !pos = 0 && magic lxor frame_magic < epoch_limit then
+         t.epoch <- magic lxor frame_magic;
+       if magic <> epoch_magic t.epoch then continue := false
        else begin
          let len = Wire.get_u32 header hp in
          let sum = Wire.get_u32 header hp in
@@ -450,24 +469,46 @@ let write t ino ~off data =
             let l = abs / Simdisk.Disk.block_size and inblk = abs mod Simdisk.Disk.block_size in
             let n = min (Simdisk.Disk.block_size - inblk) (len - !pos) in
             let phys = Hashtbl.find i.blocks l in
+            (* pages are immutable and shared: a write that fits one block
+               goes down as is, and a whole-block piece becomes the
+               cached page too *)
+            let piece = if n = len then data else String.sub data !pos n in
             Simdisk.Disk.write_bytes t.disk
               ~off:((phys * Simdisk.Disk.block_size) + inblk)
-              (String.sub data !pos n);
+              piece;
             (* write-through: keep the page cache coherent *)
-            (match Hashtbl.find_opt t.page_cache (ino, l) with
-            | Some page ->
-                let b = Bytes.of_string page in
-                Bytes.blit_string data !pos b inblk n;
-                Hashtbl.replace t.page_cache (ino, l) (Bytes.unsafe_to_string b)
-            | None ->
-                if inblk = 0 && n = Simdisk.Disk.block_size then
-                  cache_insert t (ino, l) (String.sub data !pos n));
+            (if n = Simdisk.Disk.block_size then cache_insert t (ino, l) piece
+             else
+               match Hashtbl.find_opt t.page_cache (ino, l) with
+               | Some page ->
+                   let b = Bytes.of_string page in
+                   Bytes.blit_string piece 0 b inblk n;
+                   Hashtbl.replace t.page_cache (ino, l) (Bytes.unsafe_to_string b)
+               | None -> ());
             pos := !pos + n
           done
         end;
         if off + len > i.size then log_op t (J_size { ino; size = off + len });
         Ok ()
       end)
+
+(* Logical block [l] of [i] through the page cache; [None] for a hole. *)
+let read_page t (i : inode) l =
+  match Hashtbl.find_opt i.blocks l with
+  | None -> None
+  | Some phys -> (
+      match Hashtbl.find_opt t.page_cache (i.ino, l) with
+      | Some page ->
+          t.cache_hits <- t.cache_hits + 1;
+          Some page
+      | None ->
+          t.cache_misses <- t.cache_misses + 1;
+          let page =
+            Simdisk.Disk.read_bytes t.disk ~off:(phys * Simdisk.Disk.block_size)
+              ~len:Simdisk.Disk.block_size
+          in
+          cache_insert t (i.ino, l) page;
+          Some page)
 
 let read t ino ~off ~len =
   guard t (fun () ->
@@ -476,6 +517,11 @@ let read t ino ~off ~len =
       else begin
         let len = max 0 (min len (i.size - off)) in
         if len = 0 then Ok ""
+        else if off mod Simdisk.Disk.block_size = 0 && len = Simdisk.Disk.block_size then
+          (* an aligned whole-block read hands back the shared page *)
+          Ok (match read_page t i (off / Simdisk.Disk.block_size) with
+              | Some page -> page
+              | None -> String.make len '\000')
         else begin
           let out = Bytes.create len in
           let pos = ref 0 in
@@ -483,20 +529,8 @@ let read t ino ~off ~len =
             let abs = off + !pos in
             let l = abs / Simdisk.Disk.block_size and inblk = abs mod Simdisk.Disk.block_size in
             let n = min (Simdisk.Disk.block_size - inblk) (len - !pos) in
-            (match Hashtbl.find_opt i.blocks l with
-            | Some phys -> (
-                match Hashtbl.find_opt t.page_cache (ino, l) with
-                | Some page ->
-                    t.cache_hits <- t.cache_hits + 1;
-                    Bytes.blit_string page inblk out !pos n
-                | None ->
-                    t.cache_misses <- t.cache_misses + 1;
-                    let page =
-                      Simdisk.Disk.read_bytes t.disk ~off:(phys * Simdisk.Disk.block_size)
-                        ~len:Simdisk.Disk.block_size
-                    in
-                    cache_insert t (ino, l) page;
-                    Bytes.blit_string page inblk out !pos n)
+            (match read_page t i l with
+            | Some page -> Bytes.blit_string page inblk out !pos n
             | None -> Bytes.fill out !pos n '\000');
             pos := !pos + n
           done;

@@ -11,15 +11,21 @@ type t
 val format : ?jblocks:int -> Simdisk.Disk.t -> t
 (** Create a fresh, empty file system on [disk].  [jblocks] sizes the
     journal region (default 16384 blocks = 64 MB); the journal compacts
-    into a snapshot frame when it nears the end. *)
+    into a snapshot frame when it nears the end.  Each compaction pass
+    stamps its frames with a new epoch, so replay never picks up the
+    previous pass's frames left behind the new tail. *)
 
 val mount : ?jblocks:int -> Simdisk.Disk.t -> t
 (** Rebuild the file system state by replaying the on-disk journal —
-    used after a simulated crash.  [jblocks] must match the value the
-    file system was formatted with. *)
+    used after a simulated crash.  Replay runs from the head frame,
+    whose epoch it resumes, and stops at the first torn frame or frame
+    of another epoch.  [jblocks] must match the value the file system
+    was formatted with. *)
 
 val ops : t -> Vfs.ops
-(** The VFS face. *)
+(** The VFS face.  File pages are shared, immutable strings: a
+    whole-block write caches the caller's string, and an aligned
+    whole-block read returns the cached (or on-disk) page itself. *)
 
 val root_ino : Vfs.ino
 

@@ -57,9 +57,15 @@ exception Io_error
    position and the logical time of its last use (for LRU eviction). *)
 type stream = { mutable s_head : int; mutable s_used : int }
 
+(* A stored block: an immutable page, or a base page with pending
+   partial-block patches (newest first; see the page store below). *)
+type page =
+  | Page of string
+  | Patched of { base : string; patches : (int * string) list; count : int }
+
 type t = {
   clock : Clock.t;
-  blocks : (int, bytes) Hashtbl.t;
+  blocks : (int, page) Hashtbl.t;
   total_blocks : int;
   streams : stream array;
   mutable use_counter : int;
@@ -184,6 +190,49 @@ let charge_position t blk =
 let check_block t blk =
   if blk < 0 || blk >= t.total_blocks then invalid_arg "Disk: block out of range"
 
+(* --- the page store ------------------------------------------------------
+
+   Blocks are immutable strings shared with the layers above: a full-block
+   write stores the caller's string and a read hands the stored string
+   back, so the workload's buffer, ext3's page cache and the medium all
+   point at one page.  A partial-block write layers an [(offset, piece)]
+   patch over the block's base instead of copying the block; the patches
+   fold into a fresh base when the block is next read or when
+   [max_patches] accumulate.  None of this is visible to the cost model:
+   every access still charges, counts and draws faults exactly once. *)
+
+let zero_block = String.make block_size '\000'
+let max_patches = 32
+
+let fold_patches base patches =
+  let b = Bytes.of_string base in
+  List.iter
+    (fun (off, piece) -> Bytes.blit_string piece 0 b off (String.length piece))
+    (List.rev patches);
+  Bytes.unsafe_to_string b
+
+(* The block's current contents, folding any pending patches into a new
+   base. *)
+let stored_block t blk =
+  match Hashtbl.find_opt t.blocks blk with
+  | None -> zero_block
+  | Some (Page s) -> s
+  | Some (Patched { base; patches; _ }) ->
+      let s = fold_patches base patches in
+      Hashtbl.replace t.blocks blk (Page s);
+      s
+
+let add_patch t blk off piece =
+  let page =
+    match Hashtbl.find_opt t.blocks blk with
+    | None -> Patched { base = zero_block; patches = [ (off, piece) ]; count = 1 }
+    | Some (Page base) -> Patched { base; patches = [ (off, piece) ]; count = 1 }
+    | Some (Patched { base; patches; count }) ->
+        if count + 1 >= max_patches then Page (fold_patches base ((off, piece) :: patches))
+        else Patched { base; patches = (off, piece) :: patches; count = count + 1 }
+  in
+  Hashtbl.replace t.blocks blk page
+
 let read_block t blk =
   check_alive t;
   check_block t blk;
@@ -197,19 +246,18 @@ let read_block t blk =
   charge_position t blk;
   Telemetry.incr t.i.reads;
   Telemetry.add t.i.bytes_read block_size;
-  match Hashtbl.find_opt t.blocks blk with
-  | Some b -> Bytes.copy b
-  | None -> Bytes.make block_size '\000'
+  stored_block t blk
 
-let stored_block t blk =
-  match Hashtbl.find_opt t.blocks blk with
-  | Some old -> Bytes.copy old
-  | None -> Bytes.make block_size '\000'
+(* One block write: a whole new page, or a patch over the stored one. *)
+type update = Whole of string | Patch of int * string
 
-let write_block t blk data =
+let updated_block t blk = function
+  | Whole data -> data
+  | Patch (off, piece) -> fold_patches (stored_block t blk) [ (off, piece) ]
+
+let write_update t blk update =
   check_alive t;
   check_block t blk;
-  if Bytes.length data <> block_size then invalid_arg "Disk.write_block: bad size";
   (match t.crash_after_writes with
   | Some 0 ->
       t.crashed <- true;
@@ -225,36 +273,46 @@ let write_block t blk data =
   charge_position t blk;
   Telemetry.incr t.i.writes;
   Telemetry.add t.i.bytes_written block_size;
-  match fault with
-  | Some Fault.Torn_write ->
+  match (fault, update) with
+  | Some Fault.Torn_write, _ ->
       (* only a prefix reaches the medium, yet the drive reports success
          — the latent fault WAP digests exist to catch *)
-      let b = stored_block t blk in
-      Bytes.blit data 0 b 0 (block_size / 2);
-      Hashtbl.replace t.blocks blk b
-  | Some Fault.Corrupt_sector ->
-      let b = Bytes.copy data in
+      let data = updated_block t blk update in
+      let b = Bytes.of_string (stored_block t blk) in
+      Bytes.blit_string data 0 b 0 (block_size / 2);
+      Hashtbl.replace t.blocks blk (Page (Bytes.unsafe_to_string b))
+  | Some Fault.Corrupt_sector, _ ->
+      let b = Bytes.of_string (updated_block t blk update) in
       let pos = block_size / 2 in
       Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0xff));
-      Hashtbl.replace t.blocks blk b
-  | Some Fault.Write_error | Some Fault.Read_error | None ->
-      Hashtbl.replace t.blocks blk (Bytes.copy data)
+      Hashtbl.replace t.blocks blk (Page (Bytes.unsafe_to_string b))
+  | (Some Fault.Write_error | Some Fault.Read_error | None), Whole data ->
+      Hashtbl.replace t.blocks blk (Page data)
+  | (Some Fault.Write_error | Some Fault.Read_error | None), Patch (off, piece) ->
+      add_patch t blk off piece
+
+let write_block t blk data =
+  if String.length data <> block_size then invalid_arg "Disk.write_block: bad size";
+  write_update t blk (Whole data)
 
 (* Convenience used by the file systems: read/write [len] bytes at an
-   arbitrary byte offset, spanning blocks as needed. *)
+   arbitrary byte offset, spanning blocks as needed.  An aligned
+   single-block access passes the page through without copying. *)
 let read_bytes t ~off ~len =
   if off < 0 || len < 0 then invalid_arg "Disk.read_bytes";
-  let out = Bytes.create len in
-  let pos = ref 0 in
-  while !pos < len do
-    let abs = off + !pos in
-    let blk = abs / block_size and inblk = abs mod block_size in
-    let n = min (block_size - inblk) (len - !pos) in
-    let b = read_block t blk in
-    Bytes.blit b inblk out !pos n;
-    pos := !pos + n
-  done;
-  Bytes.unsafe_to_string out
+  if off mod block_size = 0 && len = block_size then read_block t (off / block_size)
+  else begin
+    let out = Bytes.create len in
+    let pos = ref 0 in
+    while !pos < len do
+      let abs = off + !pos in
+      let blk = abs / block_size and inblk = abs mod block_size in
+      let n = min (block_size - inblk) (len - !pos) in
+      Bytes.blit_string (read_block t blk) inblk out !pos n;
+      pos := !pos + n
+    done;
+    Bytes.unsafe_to_string out
+  end
 
 let write_bytes t ~off data =
   if off < 0 then invalid_arg "Disk.write_bytes";
@@ -264,15 +322,8 @@ let write_bytes t ~off data =
     let abs = off + !pos in
     let blk = abs / block_size and inblk = abs mod block_size in
     let n = min (block_size - inblk) (len - !pos) in
-    let b =
-      if n = block_size then Bytes.make block_size '\000'
-      else
-        match Hashtbl.find_opt t.blocks blk with
-        | Some old -> Bytes.copy old
-        | None -> Bytes.make block_size '\000'
-    in
-    Bytes.blit_string data !pos b inblk n;
-    write_block t blk b;
+    let piece = if n = len then data else String.sub data !pos n in
+    write_update t blk (if n = block_size then Whole piece else Patch (inblk, piece));
     pos := !pos + n
   done
 

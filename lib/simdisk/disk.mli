@@ -59,15 +59,35 @@ val crash : t -> unit
 val revive : t -> unit
 (** Bring the device back up; data written before the crash persists. *)
 
-val read_block : t -> int -> bytes
-val write_block : t -> int -> bytes -> unit
+(** {2 Data}
+
+    Blocks are immutable strings and the device stores and returns them
+    by reference: the string handed to {!write_block} is the one later
+    reads return, and a page read from the device can be cached by the
+    layer above without a copy.  No layer may mutate a page it got from,
+    or gave to, the device. *)
+
+val read_block : t -> int -> string
+(** The block's current contents ({!block_size} bytes).  A block never
+    written reads as zeros (one shared zero page). *)
+
+val write_block : t -> int -> string -> unit
+(** Store [data] (exactly {!block_size} bytes) as the block, without
+    copying it.  Under a [Torn_write] or [Corrupt_sector] fault the
+    device stores a damaged copy instead. *)
 
 val read_bytes : t -> off:int -> len:int -> string
-(** Byte-granularity read spanning blocks. *)
+(** Byte-granularity read spanning blocks: one {!read_block} per block
+    touched.  An aligned single-block read returns the stored page
+    itself. *)
 
 val write_bytes : t -> off:int -> string -> unit
-(** Byte-granularity write spanning blocks (read-modify-write at the
-    edges). *)
+(** Byte-granularity write spanning blocks: one block write per block
+    touched, charged and fault-checked exactly like {!write_block}.  An
+    aligned whole block is stored by reference; a partial block is kept
+    as a patch over the stored page (folded into a new page on the next
+    read, or after a bounded number of patches), so small writes never
+    copy a whole block. *)
 
 val io_ns : t -> int
 (** Total simulated nanoseconds spent in I/O so far. *)

@@ -207,6 +207,34 @@ let test_passlint_metric_name () =
     [ 7; 11; 14 ]
     (List.map (fun f -> f.F.f_line) bad)
 
+(* --- passlint unsafe-of-string rule ----------------------------------- *)
+
+let test_passlint_unsafe_of_string () =
+  (* the rule is scoped to lib/, so lint the fixtures by their lib/
+     paths relative to the fixture root *)
+  let dir = fixture_dir "passlint" in
+  let lint file =
+    let saved = Sys.getcwd () in
+    Fun.protect
+      ~finally:(fun () -> Sys.chdir saved)
+      (fun () ->
+        Sys.chdir dir;
+        Passlint_core.findings ~roots:[ file ] ())
+  in
+  check Alcotest.(list (pair string string))
+    "copying and freezing fresh bytes produce no findings" []
+    (List.map shape (lint "lib/unsafe_of_string_ok.ml"));
+  let bad = lint "lib/unsafe_of_string_bad.ml" in
+  check Alcotest.(list string) "both spellings caught"
+    [ "unsafe-of-string"; "unsafe-of-string" ]
+    (List.map (fun f -> f.F.f_rule) bad);
+  check Alcotest.(list int) "findings point at the calls" [ 5; 8 ]
+    (List.map (fun f -> f.F.f_line) bad);
+  check Alcotest.(list (pair string string)) "outside lib/ the rule is silent" []
+    (List.map shape
+       (Passlint_core.findings
+          ~roots:[ Filename.concat dir "lib/unsafe_of_string_bad.ml" ] ()))
+
 let suite =
   [
     Alcotest.test_case "clean fixture tree" `Quick test_clean_tree;
@@ -219,4 +247,6 @@ let suite =
       test_passlint_comment_regression;
     Alcotest.test_case "passlint metric-name rule" `Quick
       test_passlint_metric_name;
+    Alcotest.test_case "passlint unsafe-of-string rule" `Quick
+      test_passlint_unsafe_of_string;
   ]

@@ -16,12 +16,12 @@ let tstr = Alcotest.string
 let test_disk_rw () =
   let clock = Clock.create () in
   let disk = Disk.create ~clock () in
-  let b = Bytes.make Disk.block_size 'x' in
+  let b = String.make Disk.block_size 'x' in
   Disk.write_block disk 100 b;
-  check tstr "block roundtrip" (Bytes.to_string b) (Bytes.to_string (Disk.read_block disk 100));
+  check tstr "block roundtrip" b (Disk.read_block disk 100);
   check tstr "unwritten reads zeros"
     (String.make Disk.block_size '\000')
-    (Bytes.to_string (Disk.read_block disk 101))
+    (Disk.read_block disk 101)
 
 let test_disk_bytes_api () =
   let clock = Clock.create () in
@@ -71,6 +71,221 @@ let test_disk_crash () =
     (Disk.read_bytes disk ~off:4096 ~len:4096);
   check tstr "post-crash data lost" (String.make 4096 '\000')
     (Disk.read_bytes disk ~off:12288 ~len:4096)
+
+(* --- disk vs a flat-image model ----------------------------------------- *)
+
+(* A differential check of the page store: random byte and block I/O
+   (spanning blocks, and bursts of small writes to one block that outrun
+   the patch bound), crashes and revivals, and seeded fault plans, run
+   against a flat [Bytes] image that applies each block write whole.  The
+   model draws from a twin of the disk's fault plan in lockstep, so it
+   knows which write tears or corrupts and which access fails. *)
+
+let prop_blocks = 8
+let prop_span = prop_blocks * Disk.block_size
+
+type disk_op =
+  | Write_bytes of int * string
+  | Read_bytes of int * int
+  | Write_block of int * string
+  | Read_block of int
+  | Burst of int * (int * string) list (* small writes to one block *)
+  | Crash_after of int
+  | Crash
+  | Revive
+
+let gen_disk_prog =
+  let open QCheck2.Gen in
+  let bs = Disk.block_size in
+  let data len = map (fun seed -> Helpers.payload ~seed ~len) nat in
+  let blk = int_bound (prop_blocks - 1) in
+  let write_bytes =
+    let* len = int_range 0 ((2 * bs) + 100) in
+    let* off = int_range 0 (prop_span - len) in
+    map (fun d -> Write_bytes (off, d)) (data len)
+  in
+  let read_bytes =
+    let* len = int_range 0 (2 * bs) in
+    map (fun off -> Read_bytes (off, len)) (int_range 0 (prop_span - len))
+  in
+  let small =
+    let* len = int_range 1 64 in
+    pair (int_bound (bs - len)) (data len)
+  in
+  let op =
+    frequency
+      [
+        (4, write_bytes);
+        (3, read_bytes);
+        (1, map2 (fun b d -> Write_bytes (b * bs, d)) blk (data bs));
+        (1, map (fun b -> Read_bytes (b * bs, bs)) blk);
+        (2, map2 (fun b d -> Write_block (b, d)) blk (data bs));
+        (2, map (fun b -> Read_block b) blk);
+        (1, map2 (fun b ws -> Burst (b, ws)) blk (list_size (int_range 33 48) small));
+        (1, map (fun n -> Crash_after n) (int_bound 6));
+        (1, return Crash);
+        (1, return Revive);
+      ]
+  in
+  triple bool nat (list_size (int_range 1 40) op)
+
+let prop_fault_spec =
+  { Fault.quiet with
+    torn_write = 60; corrupt_sector = 60; disk_read_error = 30; disk_write_error = 30 }
+
+let prop_plan ~faulty ~seed =
+  if faulty then Fault.plan ~registry:(Telemetry.create ()) ~spec:prop_fault_spec ~seed ()
+  else Fault.none
+
+(* The model: block writes land whole (or torn, or corrupted) in one flat
+   image; crash and fault order follows the device contract. *)
+type model = {
+  img : Bytes.t;
+  plan : Fault.plan;
+  mutable down : bool;
+  mutable countdown : int option;
+}
+
+let model_read_block m blk =
+  if m.down then raise Disk.Crashed;
+  (match Fault.next_disk_fault m.plan ~now:0 ~write:false with
+  | Some Fault.Read_error -> raise Disk.Io_error
+  | Some _ | None -> ());
+  Bytes.sub_string m.img (blk * Disk.block_size) Disk.block_size
+
+let model_write_block m blk data =
+  if m.down then raise Disk.Crashed;
+  (match m.countdown with
+  | Some 0 ->
+      m.down <- true;
+      raise Disk.Crashed
+  | Some n -> m.countdown <- Some (n - 1)
+  | None -> ());
+  let base = blk * Disk.block_size and half = Disk.block_size / 2 in
+  match Fault.next_disk_fault m.plan ~now:0 ~write:true with
+  | Some Fault.Write_error -> raise Disk.Io_error
+  | Some Fault.Torn_write -> Bytes.blit_string data 0 m.img base half
+  | Some Fault.Corrupt_sector ->
+      Bytes.blit_string data 0 m.img base Disk.block_size;
+      let c = Bytes.get m.img (base + half) in
+      Bytes.set m.img (base + half) (Char.chr (Char.code c lxor 0xff))
+  | Some Fault.Read_error | None -> Bytes.blit_string data 0 m.img base Disk.block_size
+
+(* [f blk inblk pos n] once per block [off, off + len) touches. *)
+let per_block ~off ~len f =
+  let pos = ref 0 in
+  while !pos < len do
+    let abs = off + !pos in
+    let blk = abs / Disk.block_size and inblk = abs mod Disk.block_size in
+    let n = min (Disk.block_size - inblk) (len - !pos) in
+    f blk inblk !pos n;
+    pos := !pos + n
+  done
+
+let model_write_bytes m ~off data =
+  per_block ~off ~len:(String.length data) (fun blk inblk pos n ->
+      let b = Bytes.sub m.img (blk * Disk.block_size) Disk.block_size in
+      Bytes.blit_string data pos b inblk n;
+      model_write_block m blk (Bytes.to_string b))
+
+let model_read_bytes m ~off ~len =
+  let out = Bytes.create len in
+  per_block ~off ~len (fun blk inblk pos n ->
+      Bytes.blit_string (model_read_block m blk) inblk out pos n);
+  Bytes.to_string out
+
+let disk_exec disk = function
+  | Write_bytes (off, data) -> Disk.write_bytes disk ~off data; ""
+  | Read_bytes (off, len) -> Disk.read_bytes disk ~off ~len
+  | Write_block (blk, data) -> Disk.write_block disk blk data; ""
+  | Read_block blk -> Disk.read_block disk blk
+  | Burst (blk, writes) ->
+      List.iter
+        (fun (off, piece) -> Disk.write_bytes disk ~off:((blk * Disk.block_size) + off) piece)
+        writes;
+      ""
+  | Crash_after n -> Disk.schedule_crash disk ~after_writes:n; ""
+  | Crash -> Disk.crash disk; ""
+  | Revive -> Disk.revive disk; ""
+
+let model_exec m = function
+  | Write_bytes (off, data) -> model_write_bytes m ~off data; ""
+  | Read_bytes (off, len) -> model_read_bytes m ~off ~len
+  | Write_block (blk, data) -> model_write_block m blk data; ""
+  | Read_block blk -> model_read_block m blk
+  | Burst (blk, writes) ->
+      List.iter
+        (fun (off, piece) -> model_write_bytes m ~off:((blk * Disk.block_size) + off) piece)
+        writes;
+      ""
+  | Crash_after n -> m.countdown <- Some n; ""
+  | Crash -> m.down <- true; ""
+  | Revive ->
+      m.down <- false;
+      m.countdown <- None;
+      ""
+
+let outcome f =
+  match f () with
+  | s -> Ok s
+  | exception Disk.Crashed -> Error "crashed"
+  | exception Disk.Io_error -> Error "eio"
+
+(* Run one program on a fresh device and on the model; [true] when every
+   op agreed (result or exception) and the final images are equal. *)
+let run_disk_prog (faulty, seed, ops) =
+  let clock = Clock.create () in
+  let disk =
+    Disk.create ~registry:(Telemetry.create ()) ~total_blocks:prop_blocks
+      ~fault:(prop_plan ~faulty ~seed) ~clock ()
+  in
+  let m =
+    { img = Bytes.make prop_span '\000'; plan = prop_plan ~faulty ~seed; down = false;
+      countdown = None }
+  in
+  let agreed =
+    List.for_all
+      (fun op ->
+        let d = outcome (fun () -> disk_exec disk op) in
+        let e = outcome (fun () -> model_exec m op) in
+        d = e)
+      ops
+  in
+  Disk.revive disk;
+  Disk.set_fault disk Fault.none;
+  let same_image =
+    String.equal (Disk.read_bytes disk ~off:0 ~len:prop_span) (Bytes.to_string m.img)
+  in
+  (agreed && same_image, clock, disk)
+
+let prop_disk_matches_model =
+  QCheck2.Test.make ~name:"disk: page store matches a flat-image model" ~count:300
+    gen_disk_prog (fun prog ->
+      let ok, _, _ = run_disk_prog prog in
+      ok)
+
+(* The page store must not move the cost model: over a pinned set of
+   programs, the simulated clock and every disk counter equal the values
+   the copying implementation produced. *)
+let test_disk_costs_unchanged () =
+  let progs =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 0xd15c |]) ~n:100 gen_disk_prog
+  in
+  let sums = Array.make 8 0 in
+  List.iter
+    (fun prog ->
+      let ok, clock, disk = run_disk_prog prog in
+      check tbool "program agrees with the model" true ok;
+      let s = Disk.stats disk in
+      List.iteri
+        (fun k v -> sums.(k) <- sums.(k) + v)
+        [ Clock.now clock; s.reads; s.writes; s.bytes_read; s.bytes_written; s.seeks;
+          s.seek_ns; s.transfer_ns ])
+    progs;
+  check Alcotest.(list int)
+    "clock, reads, writes, bytes read/written, seeks, seek/transfer ns"
+    [ 1938122137; 1470; 3185; 6021120; 13045760; 100; 1621887137; 144235000 ]
+    (Array.to_list sums)
 
 (* --- ext3 ---------------------------------------------------------------- *)
 
@@ -202,6 +417,34 @@ let test_ext3_journal_compaction () =
          (Helpers.payload ~seed:i ~len:(50 + i))
          (Helpers.ok_fs (Vfs.read_file ops2 (Printf.sprintf "/d/f%d" i))))
   done
+
+let test_ext3_no_stale_frames_after_compaction () =
+  (* compaction rewrites the journal from offset 0, leaving the previous
+     pass's frames on disk behind the new tail; when the tail lands on an
+     old frame boundary, replay must stop there rather than resurrect
+     them *)
+  let mismatches = ref [] in
+  for seed = 0 to 199 do
+    let disk = Disk.create ~clock:(Clock.create ()) () in
+    let ops = Ext3.ops (Ext3.format ~jblocks:1 disk) in
+    let r = Wk.rng seed in
+    for _ = 1 to 300 + Wk.rand r 301 do
+      let name = Printf.sprintf "f%d" (Wk.rand r 20) in
+      match ops.Vfs.lookup ~dir:Ext3.root_ino name with
+      | Ok _ -> Helpers.ok_fs (ops.Vfs.unlink ~dir:Ext3.root_ino name)
+      | Error _ ->
+          let _ : Vfs.ino =
+            Helpers.ok_fs (ops.Vfs.create ~dir:Ext3.root_ino name Vfs.Regular)
+          in
+          ()
+    done;
+    let live = Helpers.ok_fs (ops.Vfs.readdir Ext3.root_ino) in
+    let remounted = Ext3.ops (Ext3.mount ~jblocks:1 disk) in
+    if live <> Helpers.ok_fs (remounted.Vfs.readdir Ext3.root_ino) then
+      mismatches := seed :: !mismatches
+  done;
+  check Alcotest.(list int) "seeds whose remount differs from the live tree" []
+    (List.rev !mismatches)
 
 (* --- lasagna ------------------------------------------------------------- *)
 
@@ -427,6 +670,8 @@ let suite =
     Alcotest.test_case "ext3: journal replay after crash" `Quick test_ext3_journal_replay;
     Alcotest.test_case "ext3: replay 100 files" `Slow test_ext3_replay_after_many_ops;
     Alcotest.test_case "ext3: journal compaction + replay" `Quick test_ext3_journal_compaction;
+    Alcotest.test_case "ext3: no stale frames after compaction" `Quick
+      test_ext3_no_stale_frames_after_compaction;
     Alcotest.test_case "lasagna: VFS passthrough + .pass hidden" `Quick test_lasagna_passthrough;
     Alcotest.test_case "lasagna: DPAPI write/read" `Quick test_lasagna_dpapi_write_read;
     Alcotest.test_case "lasagna: WAP ordering under crash" `Quick test_lasagna_wap_ordering;
@@ -438,5 +683,10 @@ let suite =
       test_lasagna_provenance_survives_rename;
     Alcotest.test_case "lasagna: log rotation notifies" `Quick test_lasagna_log_rotation;
     Alcotest.test_case "lasagna: mkobj/revive" `Quick test_lasagna_mkobj_revive;
+    Alcotest.test_case "disk: costs unchanged by the page store" `Quick
+      test_disk_costs_unchanged;
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| 0xd15c |])
+      prop_disk_matches_model;
   ]
   @ qcheck_cases

@@ -41,6 +41,11 @@
                       lib/waldo: PASS metadata (images, archives,
                       manifests) must go through Checkpoint.write_atomic
                       so a crash can never tear a published file.
+   - unsafe-of-string no Bytes.unsafe_of_string under lib/: disk pages
+                      are immutable strings shared by reference from the
+                      workload's buffer through ext3's page cache to the
+                      simulated medium, so a mutable alias of one would
+                      corrupt every layer's copy at once.
 
    Findings print as file:line:col plus rule and message (or --json);
    exit status is 1 if any finding survives the allowlist, making this a
@@ -87,6 +92,19 @@ let allowlist_entries : Allowlist.entry list =
       a_why = "pins the QCheck seed of the histogram rank-error property \
                to a constant so CI failures replay byte-for-byte; \
                deterministic by construction" };
+    { a_path = "test/test_storage.ml"; a_rule = "forbidden-call";
+      a_symbol = "Random.State.make";
+      a_why = "pins the QCheck seed of the disk-vs-model property and of \
+               the cost-golden programs to a constant so CI failures \
+               replay byte-for-byte; deterministic by construction" };
+    { a_path = "bench/"; a_rule = "forbidden-call"; a_symbol = "Gc.minor";
+      a_why = "the HOST section flushes the minor heap before reading \
+               quick_stat, whose counters OCaml 5 updates only at a \
+               collection; a host-side reading, never replayed" };
+    { a_path = "bench/"; a_rule = "forbidden-call"; a_symbol = "Gc.quick_stat";
+      a_why = "the HOST section reports the simulator's own allocated \
+               words per Table 2 run; a host-side reading, never fed back \
+               into simulated time or replayed" };
   ]
 
 (* --- rule predicates ------------------------------------------------------ *)
@@ -97,6 +115,9 @@ let forbidden_prefixes =
 
 let hot_path_dirs = [ "lib/lasagna/"; "lib/panfs/"; "lib/waldo/" ]
 let on_hot_path file = Srcutil.under_any hot_path_dirs file
+
+(* Where pages are shared by reference (see the unsafe-of-string rule). *)
+let on_lib_path file = Srcutil.under_any [ "lib/" ] file
 
 (* The layers that own PASS metadata (WAP logs, images, archives,
    manifests): published files there must be crash-atomic. *)
@@ -161,6 +182,13 @@ let lint_structure ~sink ~file ~src structure =
           "direct Vfs.write_file to PASS metadata: publish through \
            Checkpoint.write_atomic (temp file + journaled rename) so a \
            crash can never tear an image"
+    | _ -> ());
+    (match name with
+    | ("Bytes.unsafe_of_string" | "Stdlib.Bytes.unsafe_of_string") when on_lib_path file ->
+        report ~loc:lid.loc ~rule:"unsafe-of-string" ~symbol:name
+          "mutable alias of an immutable string: pages are shared across \
+           layers, so mutating one corrupts the disk image and the page \
+           cache at once; copy with Bytes.of_string instead"
     | _ -> ());
     (match lid.txt with
     | Longident.Lident "compare" ->
