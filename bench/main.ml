@@ -62,15 +62,21 @@ let paper_table2 =
     ("PA-Kepler", 1.4, 2.5);
   ]
 
-let table2_and_3 () =
+(* PASS_BENCH_SCALE scales workload op counts (1.0 = default; the paper's
+   full sizes are ~10x).  A value that is not a positive finite number is
+   an operator error, reported before any section runs. *)
+let scale_of_env () =
+  match Sys.getenv_opt "PASS_BENCH_SCALE" with
+  | None -> 1.0
+  | Some s -> (
+      match float_of_string_opt (String.trim s) with
+      | Some f when Float.is_finite f && f > 0. -> f
+      | _ ->
+          Printf.eprintf "bench: PASS_BENCH_SCALE=%S is not a positive number\n" s;
+          exit 2)
+
+let table2_and_3 ~scale =
   section "TABLE2: elapsed-time overheads";
-  (* PASS_BENCH_SCALE scales workload op counts (1.0 = default; the paper's
-     full sizes are ~10x) *)
-  let scale =
-    match Sys.getenv_opt "PASS_BENCH_SCALE" with
-    | Some s -> (try float_of_string s with _ -> 1.0)
-    | None -> 1.0
-  in
   if scale <> 1.0 then Printf.printf "(workload scale: %.2fx)\n" scale;
   (* one registry across all PASS-configuration runs: the embedded
      telemetry snapshot describes the whole benchmark's pipeline work *)
@@ -89,7 +95,7 @@ let table2_and_3 () =
   Printf.printf
     "\nPaper-reported: Linux Compile 6.9%%/18.4%%, Postmark 0.1%%/0.1%%, Mercurial 1.8%%/3.4%%,\n\
     \                Blast 1.1%%/3.8%%, PA-Kepler 4.7%%/14.2%% (provenance / +indexes)\n";
-  (scale, registry, local, nfs, rows)
+  (registry, local, nfs, rows)
 
 (* --- FIG 1 + the paper's PQL query ------------------------------------------ *)
 
@@ -1056,10 +1062,11 @@ let write_results ~scale ~registry ~local ~nfs ~space ~self_check ~faults ~trace
   Printf.printf "\nwrote %s\n" results_file
 
 let () =
+  let scale = scale_of_env () in
   Printf.printf "PASSv2 reproduction benchmark harness\n";
   Printf.printf "(simulated time: see DESIGN.md for the substrate cost model)\n";
   fig2 ();
-  let scale, registry, local, nfs, space = table2_and_3 () in
+  let registry, local, nfs, space = table2_and_3 ~scale in
   fig1 ();
   section "TABLE1: record-type registry";
   Report.table1 Format.std_formatter;

@@ -67,13 +67,27 @@ let instruments registry =
    up to the 64 KB block size before issuing one WRITE / OP_PASSWRITE, the
    way a real NFS client's wsize batching works.  Close-to-open
    consistency allows it: buffers are flushed before any read, getattr or
-   namespace operation. *)
-type plain_buf = { pb_ino : Vfs.ino; mutable pb_off : int; pb_data : Buffer.t }
+   namespace operation.
+
+   A buffer holds the caller's strings by reference with a running
+   length: a run written in one piece is flushed as that same string, a
+   run of several pieces is concatenated once, at flush. *)
+type pieces = { mutable rev : string list; mutable len : int }
+
+let pieces data = { rev = [ data ]; len = String.length data }
+
+let add_piece p data =
+  p.rev <- data :: p.rev;
+  p.len <- p.len + String.length data
+
+let contents p = match p.rev with [ d ] -> d | rev -> String.concat "" (List.rev rev)
+
+type plain_buf = { pb_ino : Vfs.ino; pb_off : int; pb_data : pieces }
 
 type prov_buf = {
   vb_handle : Dpapi.handle;
-  mutable vb_off : int;
-  vb_data : Buffer.t;
+  vb_off : int;
+  vb_data : pieces;
   mutable vb_bundle : Dpapi.bundle; (* reversed *)
 }
 
@@ -147,42 +161,61 @@ let initial_backoff_ns = Simdisk.Clock.ns_of_ms 2
 let backoff_cap_ns = Simdisk.Clock.ns_of_ms 50
 let max_attempts = 16
 
-(* [None] = the call timed out [max_attempts] times (server unreachable). *)
+(* Retransmit [c] until it is answered; [None] after [max_attempts]
+   timeouts. *)
+let rec attempt t c n backoff =
+  match Proto.rpc t.net t.handler c with
+  | Ok resp -> Some resp
+  | Error `Timeout ->
+      if n + 1 >= max_attempts then None
+      else begin
+        Telemetry.incr t.i.retries;
+        Simdisk.Clock.advance t.net.Proto.clock backoff;
+        attempt t c (n + 1) (min (2 * backoff) backoff_cap_ns)
+      end
+
+(* One logical call: a fresh sequence number, one envelope, retries. *)
+let send t req =
+  let seq = t.seq in
+  t.seq <- seq + 1;
+  (* The RPC span is the wire context.  The envelope — context included —
+     is built once per logical call, so every retransmission carries the
+     same trace and span ids, and the server parents the retried work
+     onto the original span. *)
+  let c_trace, c_span =
+    match Pvtrace.current t.tracer with Some c -> c | None -> (0, 0)
+  in
+  let c = { Proto.c_client = t.client_id; c_seq = seq; c_trace; c_span; c_req = req } in
+  match attempt t c 0 initial_backoff_ns with
+  | Some _ as r -> r
+  | None ->
+      Pvtrace.set_outcome t.tracer "unreachable";
+      None
+
+(* Simulated round-trip nanoseconds since [t0], into [panfs.rpc_latency]. *)
+let observe_rtt t t0 =
+  Telemetry.observe t.i.rpc_latency (float_of_int (Simdisk.Clock.now t.net.Proto.clock - t0))
+
+(* [None] = the call timed out [max_attempts] times (server unreachable).
+   The untraced path allocates no closure: the span wrapper is entered
+   only when the tracer records, and the round trip is observed inline. *)
 let call_opt t req =
   if t.crashed then Some (Proto.R_err Vfs.ECRASH)
   else begin
     Telemetry.incr t.i.rpcs;
-    Telemetry.with_span t.i.rpc_latency
-      ~now:(fun () -> Simdisk.Clock.now t.net.Proto.clock)
-      (fun () ->
-        Pvtrace.span t.tracer ~layer:"panfs.client" ~op:(Proto.req_name req)
-        @@ fun () ->
-        let seq = t.seq in
-        t.seq <- seq + 1;
-        (* The RPC span is the wire context.  The envelope — context
-           included — is built once per logical call, so every
-           retransmission carries the same trace and span ids, and the
-           server parents the retried work onto the original span. *)
-        let c_trace, c_span =
-          match Pvtrace.current t.tracer with Some c -> c | None -> (0, 0)
-        in
-        let c = { Proto.c_client = t.client_id; c_seq = seq; c_trace; c_span; c_req = req } in
-        let rec attempt n backoff =
-          match Proto.rpc t.net t.handler c with
-          | Ok resp -> Some resp
-          | Error `Timeout ->
-              if n + 1 >= max_attempts then None
-              else begin
-                Telemetry.incr t.i.retries;
-                Simdisk.Clock.advance t.net.Proto.clock backoff;
-                attempt (n + 1) (min (2 * backoff) backoff_cap_ns)
-              end
-        in
-        match attempt 0 initial_backoff_ns with
-        | Some _ as r -> r
-        | None ->
-            Pvtrace.set_outcome t.tracer "unreachable";
-            None)
+    let t0 = Simdisk.Clock.now t.net.Proto.clock in
+    match
+      if Pvtrace.enabled t.tracer then
+        Pvtrace.span t.tracer ~layer:"panfs.client" ~op:(Proto.req_name req) (fun () ->
+            send t req)
+      else send t req
+    with
+    | r ->
+        observe_rtt t t0;
+        r
+    | exception e ->
+        observe_rtt t t0;
+        raise e
   end
 
 let call t req =
@@ -218,11 +251,9 @@ let flush_plain t =
   | None -> Ok ()
   | Some pb ->
       t.plain_pending <- None;
-      if Buffer.length pb.pb_data = 0 then Ok ()
+      if pb.pb_data.len = 0 then Ok ()
       else begin
-        match
-          call t (Proto.Write { ino = pb.pb_ino; off = pb.pb_off; data = Buffer.contents pb.pb_data })
-        with
+        match call t (Proto.Write { ino = pb.pb_ino; off = pb.pb_off; data = contents pb.pb_data }) with
         | Proto.R_ok -> Ok ()
         | Proto.R_err e -> Error e
         | _ -> Error Vfs.EIO
@@ -231,23 +262,24 @@ let flush_plain t =
 let buffered_plain_write t ino ~off data =
   let fits =
     match t.plain_pending with
-    | Some pb -> pb.pb_ino = ino && pb.pb_off + Buffer.length pb.pb_data = off
+    | Some pb -> pb.pb_ino = ino && pb.pb_off + pb.pb_data.len = off
     | None -> false
   in
   let ( let* ) = Result.bind in
   let* () = if fits then Ok () else flush_plain t in
   let pb =
     match t.plain_pending with
-    | Some pb -> pb
+    | Some pb ->
+        add_piece pb.pb_data data;
+        pb
     | None ->
-        let pb = { pb_ino = ino; pb_off = off; pb_data = Buffer.create 8192 } in
+        let pb = { pb_ino = ino; pb_off = off; pb_data = pieces data } in
         t.plain_pending <- Some pb;
         pb
   in
-  Buffer.add_string pb.pb_data data;
   (* flush at the 64 KB block size, or immediately for a non-streaming
      (short) write *)
-  if Buffer.length pb.pb_data >= Proto.block_limit || String.length data < 4096 then
+  if pb.pb_data.len >= Proto.block_limit || String.length data < 4096 then
     flush_plain t
   else Ok ()
 
@@ -599,7 +631,7 @@ let flush_prov t =
   | [ vb ] ->
       t.prov_pending <- [];
       send_passwrite t vb.vb_handle ~off:vb.vb_off
-        ~data:(Some (Buffer.contents vb.vb_data))
+        ~data:(Some (contents vb.vb_data))
         (List.rev vb.vb_bundle)
   | pending ->
       t.prov_pending <- [];
@@ -607,7 +639,7 @@ let flush_prov t =
         List.rev_map
           (fun vb ->
             { wi_handle = vb.vb_handle; wi_off = vb.vb_off;
-              wi_data = Some (Buffer.contents vb.vb_data);
+              wi_data = Some (contents vb.vb_data);
               wi_bundle = attach_pending t vb.vb_handle (List.rev vb.vb_bundle) })
           pending
       in
@@ -615,87 +647,43 @@ let flush_prov t =
 
 (* --- VFS face -------------------------------------------------------------- *)
 
+(* Close-to-open flush: push both write-behind buffers now.  A partition
+   parks provenance in the backlog instead of failing. *)
+let flush t =
+  match flush_prov t with
+  | Error e -> Error (lower_err e)
+  | Ok _ -> flush_plain t
+
 (* Close-to-open consistency: both write-behind buffers — the plain one
    and the provenance/data riders — flush before any read, getattr or
-   namespace operation observes server state. *)
+   namespace operation observes server state.  [reply] maps the answer;
+   the mappers close over nothing, so a call allocates no closure. *)
+let flush_then t req reply =
+  match flush t with Error e -> Error e | Ok () -> reply (call t req)
+
+let bad = Error Vfs.EIO
+let ino_reply = function Proto.R_ino ino -> Ok ino | Proto.R_err e -> Error e | _ -> bad
+let unit_reply = function Proto.R_ok -> Ok () | Proto.R_err e -> Error e | _ -> bad
+let data_reply = function Proto.R_data d -> Ok d | Proto.R_err e -> Error e | _ -> bad
+let attr_reply = function Proto.R_attr st -> Ok st | Proto.R_err e -> Error e | _ -> bad
+let names_reply = function Proto.R_names ns -> Ok ns | Proto.R_err e -> Error e | _ -> bad
+
 let ops t : Vfs.ops =
-  let bad = Error Vfs.EIO in
-  let flush_then f =
-    match flush_prov t with
-    | Error e -> Error (lower_err e)
-    | Ok _ -> ( match flush_plain t with Error e -> Error e | Ok () -> f ())
-  in
   {
     root = (fun () -> Ext3.root_ino);
-    lookup =
-      (fun ~dir name ->
-        flush_then (fun () ->
-            match call t (Proto.Lookup { dir; name }) with
-            | Proto.R_ino ino -> Ok ino
-            | Proto.R_err e -> Error e
-            | _ -> bad));
-    create =
-      (fun ~dir name kind ->
-        flush_then (fun () ->
-            match call t (Proto.Create { dir; name; kind }) with
-            | Proto.R_ino ino -> Ok ino
-            | Proto.R_err e -> Error e
-            | _ -> bad));
-    unlink =
-      (fun ~dir name ->
-        flush_then (fun () ->
-            match call t (Proto.Remove { dir; name }) with
-            | Proto.R_ok -> Ok ()
-            | Proto.R_err e -> Error e
-            | _ -> bad));
+    lookup = (fun ~dir name -> flush_then t (Proto.Lookup { dir; name }) ino_reply);
+    create = (fun ~dir name kind -> flush_then t (Proto.Create { dir; name; kind }) ino_reply);
+    unlink = (fun ~dir name -> flush_then t (Proto.Remove { dir; name }) unit_reply);
     rename =
       (fun ~src_dir ~src_name ~dst_dir ~dst_name ->
-        flush_then (fun () ->
-            match call t (Proto.Rename { src_dir; src_name; dst_dir; dst_name }) with
-            | Proto.R_ok -> Ok ()
-            | Proto.R_err e -> Error e
-            | _ -> bad));
-    read =
-      (fun ino ~off ~len ->
-        flush_then (fun () ->
-            match call t (Proto.Read { ino; off; len }) with
-            | Proto.R_data d -> Ok d
-            | Proto.R_err e -> Error e
-            | _ -> bad));
+        flush_then t (Proto.Rename { src_dir; src_name; dst_dir; dst_name }) unit_reply);
+    read = (fun ino ~off ~len -> flush_then t (Proto.Read { ino; off; len }) data_reply);
     write = (fun ino ~off data -> buffered_plain_write t ino ~off data);
-    truncate =
-      (fun ino size ->
-        flush_then (fun () ->
-            match call t (Proto.Truncate { ino; size }) with
-            | Proto.R_ok -> Ok ()
-            | Proto.R_err e -> Error e
-            | _ -> bad));
-    getattr =
-      (fun ino ->
-        flush_then (fun () ->
-            match call t (Proto.Getattr { ino }) with
-            | Proto.R_attr st -> Ok st
-            | Proto.R_err e -> Error e
-            | _ -> bad));
-    readdir =
-      (fun ino ->
-        flush_then (fun () ->
-            match call t (Proto.Readdir { ino }) with
-            | Proto.R_names names -> Ok names
-            | Proto.R_err e -> Error e
-            | _ -> bad));
-    fsync =
-      (fun ino ->
-        flush_then (fun () ->
-            match call t (Proto.Commit { ino }) with
-            | Proto.R_ok -> Ok ()
-            | Proto.R_err e -> Error e
-            | _ -> bad));
-    sync =
-      (fun () ->
-        match flush_prov t with
-        | Error e -> Error (lower_err e)
-        | Ok _ -> flush_plain t);
+    truncate = (fun ino size -> flush_then t (Proto.Truncate { ino; size }) unit_reply);
+    getattr = (fun ino -> flush_then t (Proto.Getattr { ino }) attr_reply);
+    readdir = (fun ino -> flush_then t (Proto.Readdir { ino }) names_reply);
+    fsync = (fun ino -> flush_then t (Proto.Commit { ino }) unit_reply);
+    sync = (fun () -> flush t);
   }
 
 let pass_read t (h : Dpapi.handle) ~off ~len =
@@ -713,7 +701,7 @@ let pass_read t (h : Dpapi.handle) ~off ~len =
 
 let pending_size t =
   List.fold_left
-    (fun n vb -> n + Buffer.length vb.vb_data + Dpapi.bundle_size vb.vb_bundle)
+    (fun n vb -> n + vb.vb_data.len + Dpapi.bundle_size vb.vb_bundle)
     0 t.prov_pending
 
 let find_pending t (h : Dpapi.handle) =
@@ -745,7 +733,7 @@ let pass_write t (h : Dpapi.handle) ~off ~data bundle =
       else
       let contiguous =
         match find_pending t h with
-        | Some vb -> vb.vb_off + Buffer.length vb.vb_data = off
+        | Some vb -> vb.vb_off + vb.vb_data.len = off
         | None -> false
       in
       let room = pending_size t + incoming <= batch_budget in
@@ -760,13 +748,14 @@ let pass_write t (h : Dpapi.handle) ~off ~data bundle =
       in
       let vb =
         match find_pending t h with
-        | Some vb -> vb
+        | Some vb ->
+            add_piece vb.vb_data d;
+            vb
         | None ->
-            let vb = { vb_handle = h; vb_off = off; vb_data = Buffer.create 8192; vb_bundle = [] } in
+            let vb = { vb_handle = h; vb_off = off; vb_data = pieces d; vb_bundle = [] } in
             t.prov_pending <- vb :: t.prov_pending;
             vb
       in
-      Buffer.add_string vb.vb_data d;
       vb.vb_bundle <- List.rev_append bundle vb.vb_bundle;
       if (not t.piggyback) && String.length d < 4096 then
         let* _v = flush_prov t in
@@ -823,14 +812,6 @@ let pass_sync t (h : Dpapi.handle) =
   | Proto.R_ok -> Ok ()
   | Proto.R_err e -> Error (lift_err e)
   | _ -> Error Dpapi.Eio
-
-(* Close-to-open flush hook (for [Kernel.mount ~flush]): push both
-   write-behind buffers now.  A partition parks provenance in the backlog
-   instead of failing the close. *)
-let flush t =
-  match flush_prov t with
-  | Error e -> Error (lower_err e)
-  | Ok _ -> flush_plain t
 
 let endpoint t : Dpapi.endpoint =
   {

@@ -9,7 +9,13 @@
     encapsulated in transactions; contiguous streaming writes are
     coalesced up to the block size (NFS wsize write-behind), flushed
     before any read/getattr/namespace operation (close-to-open
-    consistency). *)
+    consistency).
+
+    Host cost (DESIGN §18): the write-behind holds the caller's strings
+    by reference — a run written in one piece is sent as that same
+    string, a run of several pieces is concatenated once at flush — and
+    with a disabled tracer a call allocates no closure on its way to
+    {!Proto.rpc}. *)
 
 module Dpapi = Pass_core.Dpapi
 module Ctx = Pass_core.Ctx
@@ -39,8 +45,8 @@ val create :
 (** [mount_name] is the volume name this client is mounted under on its
     machine; handles it returns carry it.  [registry] receives the
     [panfs.*] and [nfs.*] instruments, including the [panfs.rpc_latency]
-    histogram of simulated round-trip nanoseconds (default
-    {!Telemetry.default}).  [wb_high_water] (default 64) bounds the
+    histogram of simulated round-trip nanoseconds, observed per logical
+    call across its retries (default {!Telemetry.default}).  [wb_high_water] (default 64) bounds the
     write-behind backlog used to ride out partitions: past it,
     provenance writes fail with [Eagain] (backpressure).
 

@@ -11,7 +11,9 @@
 
    Messages are fully encodable and decodable: the transport serialises
    every request to bytes and the server decodes the datagram, so a
-   duplicated or retransmitted message is a real byte-level replay.
+   duplicated or retransmitted message is a real byte-level replay.  A
+   reply is charged by its encoded length but never built: the client
+   keeps the server's in-memory value (DESIGN §18).
    Requests travel in a call envelope carrying the client id and a
    per-client sequence number — the key of the server's NFSv4-style
    duplicate-request cache. *)
@@ -267,21 +269,6 @@ let rec decode_resp s pos =
   | 11 -> R_batch (get_list decode_resp s pos)
   | t -> Wire.corrupt "panfs: bad response tag %d" t
 
-(* Size probes are issued for every provenance write (to pick between the
-   inline and transactional paths); one scratch buffer replaces a fresh
-   allocation per probe. *)
-let size_scratch = Buffer.create 256
-
-let req_size req =
-  Buffer.clear size_scratch;
-  encode_req size_scratch req;
-  Buffer.length size_scratch
-
-let resp_size resp =
-  Buffer.clear size_scratch;
-  encode_resp size_scratch resp;
-  Buffer.length size_scratch
-
 (* The call envelope: client id + per-client sequence number, the key of
    the server's duplicate-request cache.  A retransmission reuses the
    sequence number so the server replays its cached reply instead of
@@ -384,63 +371,65 @@ let timed_out net =
   Simdisk.Clock.advance net.clock net.timeout_ns;
   Error `Timeout
 
-(* Per-direction encode scratch: the RPC path is synchronous and handlers
-   never issue nested RPCs, so one request and one response buffer serve
-   every call ([Buffer.contents] copies out before the next reuse). *)
-let req_scratch = Buffer.create 1024
-let resp_scratch = Buffer.create 256
+(* The transport's one sizing path.  The RPC path is synchronous and
+   each use copies out (the request) or reads the length (the reply)
+   before the next begins, so one scratch buffer serves every call. *)
+let scratch = Buffer.create 1024
 
-(* Byte-level delivery: decode the datagram, execute, encode the reply. *)
-let deliver handler wire_req =
+let resp_size resp =
+  Buffer.clear scratch;
+  encode_resp scratch resp;
+  Buffer.length scratch
+
+(* Byte-level delivery: decode the datagram, execute, and charge the
+   reply by its encoded length.  The reply is never materialised: the
+   client is handed the in-memory value, which decodes from those bytes
+   to itself (the codec round-trip tests pin this). *)
+let deliver net handler wire_req =
   let resp = handler (decode_call wire_req (ref 0)) in
-  Buffer.clear resp_scratch;
-  encode_resp resp_scratch resp;
-  (resp, Buffer.contents resp_scratch)
+  transmit net (resp_size resp);
+  resp
 
 let rpc net handler (c : call) =
-  Buffer.clear req_scratch;
-  encode_call req_scratch c;
-  let wire_req = Buffer.contents req_scratch in
+  (* the request datagram is the one wire copy: the server decodes it,
+     so a duplicate or retransmission is a real byte-level replay *)
+  Buffer.clear scratch;
+  encode_call scratch c;
+  let wire_req = Buffer.contents scratch in
+  let req_len = String.length wire_req in
   let now = Simdisk.Clock.now net.clock in
   if Fault.partitioned net.fault ~now then begin
-    transmit net (String.length wire_req);
+    transmit net req_len;
     timed_out net
   end
   else
     match Fault.next_net_fault net.fault ~now with
     | Some Fault.Drop_request ->
-        transmit net (String.length wire_req);
+        transmit net req_len;
         timed_out net
     | Some (Fault.Partition_ns _) | Some (Fault.Server_restart_ns _) ->
         (* the draw opened the partition window and this datagram is
            already inside it *)
-        transmit net (String.length wire_req);
+        transmit net req_len;
         timed_out net
     | Some Fault.Drop_response ->
         (* the server executes and replies, but the reply is lost: the
            case the duplicate-request cache exists for *)
-        transmit net (String.length wire_req);
-        let _resp, wire_resp = deliver handler wire_req in
-        transmit net (String.length wire_resp);
+        transmit net req_len;
+        let _ : resp = deliver net handler wire_req in
         timed_out net
     | Some Fault.Duplicate ->
         (* the request datagram is delivered twice; the second execution
            must hit the server's duplicate-request cache *)
-        transmit net (String.length wire_req);
-        let resp, wire_resp = deliver handler wire_req in
-        transmit net (String.length wire_resp);
-        transmit net (String.length wire_req);
-        let _resp2, wire_resp2 = deliver handler wire_req in
-        transmit net (String.length wire_resp2);
+        transmit net req_len;
+        let resp = deliver net handler wire_req in
+        transmit net req_len;
+        let _ : resp = deliver net handler wire_req in
         Ok resp
     | Some (Fault.Delay_ns d) ->
         Simdisk.Clock.advance net.clock d;
-        transmit net (String.length wire_req);
-        let resp, wire_resp = deliver handler wire_req in
-        transmit net (String.length wire_resp);
-        Ok resp
+        transmit net req_len;
+        Ok (deliver net handler wire_req)
     | None ->
-        transmit net (String.length wire_req);
-        let resp, wire_resp = deliver handler wire_req in
-        transmit net (String.length wire_resp);
-        Ok resp
+        transmit net req_len;
+        Ok (deliver net handler wire_req)

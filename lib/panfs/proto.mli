@@ -76,12 +76,13 @@ val encode_resp : Buffer.t -> resp -> unit
 val decode_resp : string -> int ref -> resp
 (** Wire codecs; decoders raise {!Wire.Corrupt} on malformed input.
     Exposed so tests can round-trip every constructor — the transport
-    decodes each delivered datagram, so replays are byte-level replays. *)
-
-val req_size : req -> int
-(** Encoded size in bytes (drives the simulated network cost). *)
+    decodes each delivered request datagram, so replays are byte-level
+    replays. *)
 
 val resp_size : resp -> int
+(** Encoded size in bytes, measured in the transport's reused scratch
+    buffer without building the reply: what {!rpc} charges each reply
+    datagram.  (A request is charged by the length of its datagram.) *)
 
 (** {1 Call envelope}
 
@@ -131,9 +132,12 @@ val fresh_client : net -> int
     reproducible). *)
 
 val rpc : net -> (call -> resp) -> call -> (resp, [ `Timeout ]) result
-(** Synchronous RPC: encodes the call, charges each datagram's latency
-    plus transfer to the shared clock ([messages]/[bytes] count every
-    transmitted copy, including dropped and duplicated ones), and hands
-    the decoded bytes to the handler.  Returns [`Timeout] when the fault
-    plan loses either datagram or the link is partitioned; the caller
-    retries with the same sequence number. *)
+(** Synchronous RPC: encodes the call into one request datagram (the
+    only wire copy) and hands the handler the call decoded from those
+    bytes, so duplicates and retransmissions are byte-level replays.
+    Each datagram's latency plus transfer is charged to the shared clock
+    ([messages]/[bytes] count every transmitted copy, including dropped
+    and duplicated ones); a reply is charged by {!resp_size} and the
+    caller receives the handler's in-memory value.  Returns [`Timeout]
+    when the fault plan loses either datagram or the link is partitioned;
+    the caller retries with the same sequence number. *)

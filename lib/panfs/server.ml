@@ -49,7 +49,10 @@ type t = {
   ext3 : Ext3.t;
   export : Vfs.ops; (* what clients see *)
   lasagna : Lasagna.t option;
-  analyzer : Analyzer.t option;
+  (* the DPAPI faces of Lasagna and of the server's analyzer (traced),
+     built once rather than per request *)
+  lasagna_ep : Dpapi.endpoint option;
+  analyzer : Dpapi.endpoint option;
   waldo : Waldo.t option;
   ctx : Ctx.t;
   volume : string;
@@ -75,7 +78,7 @@ let create ?registry ?fault ?(tracer = Pvtrace.disabled) ~mode ~clock ~machine ~
   match mode with
   | Plain ->
       {
-        mode; clock; disk; ext3; export = Ext3.ops ext3; lasagna = None;
+        mode; clock; disk; ext3; export = Ext3.ops ext3; lasagna = None; lasagna_ep = None;
         analyzer = None; waldo = None; ctx; volume; tracer; i; next_txn = 1; open_txns = [];
         drc = Hashtbl.create 1024; drc_order = Queue.create (); drc_capacity = 512;
       }
@@ -85,16 +88,18 @@ let create ?registry ?fault ?(tracer = Pvtrace.disabled) ~mode ~clock ~machine ~
         Lasagna.create ?registry ~now:(fun () -> Clock.now clock) ~tracer
           ~lower:(Ext3.ops ext3) ~ctx ~volume ~charge:(Clock.advance clock) ()
       in
+      let lasagna_ep = Lasagna.endpoint lasagna in
       let analyzer =
         Analyzer.create ?registry ~charge:(Clock.advance clock) ~tracer ~ctx
-          ~lower:(Dpapi.traced ~tracer ~layer:"lasagna" (Lasagna.endpoint lasagna)) ()
+          ~lower:(Dpapi.traced ~tracer ~layer:"lasagna" lasagna_ep) ()
       in
       let waldo = Waldo.create ?registry ~tracer ~lower:(Ext3.ops ext3) () in
       Waldo.attach waldo lasagna;
       {
         mode; clock; disk; ext3; export = Lasagna.ops lasagna; lasagna = Some lasagna;
-        analyzer = Some analyzer; waldo = Some waldo; ctx; volume; tracer; i; next_txn = 1;
-        open_txns = [];
+        lasagna_ep = Some lasagna_ep;
+        analyzer = Some (Dpapi.traced ~tracer ~layer:"analyzer" (Analyzer.endpoint analyzer));
+        waldo = Some waldo; ctx; volume; tracer; i; next_txn = 1; open_txns = [];
         drc = Hashtbl.create 1024; drc_order = Queue.create (); drc_capacity = 512;
       }
 
@@ -185,10 +190,9 @@ let rec handle_req t (req : Proto.req) : Proto.resp =
   | Proto.Commit { ino } -> (
       match t.export.fsync ino with Ok () -> R_ok | Error e -> err e)
   | Proto.Op_passread { pnode; off; len } -> (
-      match t.lasagna with
+      match t.lasagna_ep with
       | None -> err Vfs.EINVAL
-      | Some l -> (
-          let ep = Lasagna.endpoint l in
+      | Some ep -> (
           match ep.pass_read (Dpapi.handle ~volume:t.volume pnode) ~off ~len with
           | Ok r -> R_passread { data = r.Dpapi.data; pnode = r.r_pnode; version = r.r_version }
           | Error e -> dpapi_err e))
@@ -207,11 +211,7 @@ let rec handle_req t (req : Proto.req) : Proto.resp =
               | Ok v -> R_version v
               | Error e -> dpapi_err e)
           | None -> (
-              let ep =
-                Dpapi.traced ~tracer:t.tracer ~layer:"analyzer"
-                  (Analyzer.endpoint an)
-              in
-              match ep.pass_write h ~off ~data bundle with
+              match an.pass_write h ~off ~data bundle with
               | Ok v -> R_version v
               | Error e -> dpapi_err e)))
       | _ -> err Vfs.EINVAL)
@@ -245,24 +245,24 @@ let rec handle_req t (req : Proto.req) : Proto.resp =
           | Ok _ -> R_ok
           | Error e -> dpapi_err e))
   | Proto.Op_passmkobj -> (
-      match t.lasagna with
+      match t.lasagna_ep with
       | None -> err Vfs.EINVAL
-      | Some l -> (
-          match (Lasagna.endpoint l).pass_mkobj ~volume:(Some t.volume) with
+      | Some ep -> (
+          match ep.pass_mkobj ~volume:(Some t.volume) with
           | Ok h -> R_handle { pnode = h.Dpapi.pnode }
           | Error e -> dpapi_err e))
   | Proto.Op_passreviveobj { pnode; version } -> (
-      match t.lasagna with
+      match t.lasagna_ep with
       | None -> err Vfs.EINVAL
-      | Some l -> (
-          match (Lasagna.endpoint l).pass_reviveobj pnode version with
+      | Some ep -> (
+          match ep.pass_reviveobj pnode version with
           | Ok h -> R_handle { pnode = h.Dpapi.pnode }
           | Error e -> dpapi_err e))
   | Proto.Op_passsync { pnode } -> (
-      match t.lasagna with
+      match t.lasagna_ep with
       | None -> err Vfs.EINVAL
-      | Some l -> (
-          match (Lasagna.endpoint l).pass_sync (Dpapi.handle ~volume:t.volume pnode) with
+      | Some ep -> (
+          match ep.pass_sync (Dpapi.handle ~volume:t.volume pnode) with
           | Ok () -> R_ok
           | Error e -> dpapi_err e))
   | Proto.Op_pnode { ino } -> (
@@ -291,15 +291,8 @@ let rec handle_req t (req : Proto.req) : Proto.resp =
       in
       go [] writes
 
-let handle t (c : Proto.call) : Proto.resp =
-  (* Adopt the wire-carried context: every span below — including the
-     whole server-side analyzer/Lasagna chain — parents onto the client
-     RPC span that caused it, across retries and duplicate deliveries
-     (the envelope, context included, is byte-identical on replay). *)
-  Pvtrace.with_remote_parent t.tracer ~trace:c.Proto.c_trace ~span:c.Proto.c_span
-  @@ fun () ->
-  Pvtrace.span t.tracer ~layer:"panfs.server" ~op:(Proto.req_name c.Proto.c_req)
-  @@ fun () ->
+(* One call through the duplicate-request cache. *)
+let serve t (c : Proto.call) : Proto.resp =
   let key = (c.Proto.c_client, c.Proto.c_seq) in
   match Hashtbl.find_opt t.drc key with
   | Some resp ->
@@ -326,6 +319,18 @@ let handle t (c : Proto.call) : Proto.resp =
         Hashtbl.remove t.drc (Queue.pop t.drc_order);
       Telemetry.set t.i.drc_size (float_of_int (Hashtbl.length t.drc));
       resp
+
+let handle t (c : Proto.call) : Proto.resp =
+  if not (Pvtrace.enabled t.tracer) then serve t c
+  else
+    (* Adopt the wire-carried context: every span below — including the
+       whole server-side analyzer/Lasagna chain — parents onto the client
+       RPC span that caused it, across retries and duplicate deliveries
+       (the envelope, context included, is byte-identical on replay). *)
+    Pvtrace.with_remote_parent t.tracer ~trace:c.Proto.c_trace ~span:c.Proto.c_span
+    @@ fun () ->
+    Pvtrace.span t.tracer ~layer:"panfs.server" ~op:(Proto.req_name c.Proto.c_req)
+    @@ fun () -> serve t c
 
 (* pnode of a file by inode, for the client's handle cache *)
 let pnode_of_ino t ino =

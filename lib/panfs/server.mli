@@ -37,7 +37,9 @@ val handle : t -> Proto.call -> Proto.resp
     answered from the cache — replayed, not re-executed — which is what
     makes retransmitted non-idempotent operations safe.  The cache
     persists across simulated server restarts, as NFSv4.1's persistent
-    reply cache does. *)
+    reply cache does.  With a traced server the call's spans parent onto
+    the client span carried in the envelope; with a disabled tracer the
+    call allocates no span closure (DESIGN §18). *)
 
 val ctx : t -> Ctx.t
 val waldo : t -> Waldo.t option

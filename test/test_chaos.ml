@@ -32,10 +32,20 @@ let ok_fs = function
 
 let tv registry name = Option.value (Telemetry.counter_value registry name) ~default:0
 
+(* A malformed or empty override is rejected rather than filtered: a
+   list that parsed to no seeds would run nothing and pass the gate. *)
 let pinned_seeds =
   match Sys.getenv_opt "PASS_CHAOS_SEEDS" with
-  | Some s -> List.filter_map int_of_string_opt (String.split_on_char ',' s)
   | None -> [ 11; 23; 47 ]
+  | Some s ->
+      let parse entry =
+        match int_of_string_opt (String.trim entry) with
+        | Some seed -> seed
+        | None ->
+            Printf.eprintf "test_chaos: PASS_CHAOS_SEEDS=%S: %S is not an integer seed\n" s entry;
+            exit 2
+      in
+      List.map parse (String.split_on_char ',' s)
 
 (* One PA server + one PA-NFS client sharing a clock, with [plan] wired
    into both the transport and the server's disk. *)

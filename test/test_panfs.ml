@@ -510,10 +510,243 @@ let test_server_crash_mid_txn () =
   check tstr "recreated object readable" "recreated" r.Dpapi.data
 
 let test_proto_sizes () =
+  let req_len req =
+    let b = Buffer.create 64 in
+    Proto.encode_req b req;
+    Buffer.length b
+  in
   let big = Proto.Write { ino = 3; off = 0; data = String.make 10_000 'x' } in
   let small = Proto.Getattr { ino = 3 } in
-  check tbool "encoded size tracks payload" true
-    (Proto.req_size big > 10_000 && Proto.req_size small < 64)
+  check tbool "request size tracks payload" true (req_len big > 10_000 && req_len small < 64);
+  (* a reply is charged by its encoded length, measured without building it *)
+  List.iter
+    (fun resp ->
+      let b = Buffer.create 64 in
+      Proto.encode_resp b resp;
+      check tint "reply size = encoded length" (Buffer.length b) (Proto.resp_size resp))
+    [ Proto.R_ok; R_data (String.make 10_000 'x'); R_names [ "a"; "bc" ];
+      R_batch [ R_version 1; R_err Vfs.EIO ] ];
+  check tbool "reply size tracks payload" true
+    (Proto.resp_size (R_data (String.make 10_000 'x')) > 10_000 && Proto.resp_size R_ok < 64)
+
+(* --- host-cost work on the RPC path must not move the cost model --------- *)
+
+(* A PA server and client on one clock, over a link whose fault plan
+   draws every kind of network fault, so retries, DRC replays, lost
+   replies and partitions all charge the clock. *)
+let faulty_link ~seed ~piggyback ~handler_hook =
+  let registry = Telemetry.create () in
+  let clock = Simdisk.Clock.create () in
+  let spec =
+    { Fault.quiet with
+      drop_request = 40; drop_response = 40; duplicate = 40;
+      delay = 60; delay_ns = (200_000, 2_000_000);
+      partition = 6; partition_ns = (10_000_000, 40_000_000) }
+  in
+  let plan = Fault.plan ~registry ~spec ~seed () in
+  let server = Server.create ~registry ~mode:Server.Pass_enabled ~clock ~machine:2 ~volume:"nfs0" () in
+  let net = Proto.net ~fault:plan clock in
+  let client =
+    Client.create ~registry ~piggyback ~net
+      ~handler:(fun c -> handler_hook c; Server.handle server c)
+      ~ctx:(Ctx.create ~machine:1) ~mount_name:"nfs0" ()
+  in
+  (registry, clock, plan, net, client)
+
+(* Every RPC kind the client issues, with replies of every size: plain
+   streaming and short writes, riders, a transactional write, reads of
+   data and provenance, namespace operations and syncs. *)
+let transport_workload client =
+  let ops = Client.ops client in
+  let ignore_fs : 'a. ('a, Vfs.errno) result -> unit = fun _ -> () in
+  let ignore_dp : 'a. ('a, Dpapi.error) result -> unit = fun _ -> () in
+  let body k n = String.init n (fun i -> Char.chr (97 + ((k + i) mod 26))) in
+  let inos =
+    List.filter_map
+      (fun k ->
+        match ops.create ~dir:Ext3.root_ino (Printf.sprintf "t%02d" k) Vfs.Regular with
+        | Ok ino -> Some (k, ino)
+        | Error _ -> None)
+      (List.init 10 Fun.id)
+  in
+  (* plain: a 3-piece streaming run per file, then a short write *)
+  List.iter
+    (fun (k, ino) ->
+      for j = 0 to 2 do ignore_fs (ops.write ino ~off:(j * 8192) (body (k + j) 8192)) done;
+      ignore_fs (ops.write ino ~off:24576 (body k 300)))
+    inos;
+  let handles =
+    List.filter_map
+      (fun (k, ino) ->
+        match Client.file_handle client ino with Ok h -> Some (k, h) | Error _ -> None)
+      inos
+  in
+  (* riders: contiguous pieces per file, several files per envelope; an
+     oversized write flushes them and takes the transaction path *)
+  List.iter
+    (fun (k, h) ->
+      let bundle j =
+        [ Dpapi.entry h [ Record.make "PARAMS" (Pvalue.Str (Printf.sprintf "t%d.%d" k j)) ] ]
+      in
+      ignore_dp (Client.pass_write client h ~off:0 ~data:(Some (body k 5000)) (bundle 0));
+      ignore_dp (Client.pass_write client h ~off:5000 ~data:(Some (body (k + 1) 700)) (bundle 1));
+      if k mod 4 = 3 then
+        ignore_dp (Client.pass_write client h ~off:0 ~data:(Some (body k 70_000)) (bundle 2));
+      if k mod 3 = 0 then ignore_dp (Client.pass_freeze client h))
+    handles;
+  List.iter (fun (_, h) -> ignore_dp (Client.pass_read client h ~off:0 ~len:4096)) handles;
+  List.iter
+    (fun (k, ino) ->
+      ignore_fs (ops.read ino ~off:0 ~len:8192);
+      ignore_fs (ops.getattr ino);
+      ignore_fs (ops.lookup ~dir:Ext3.root_ino (Printf.sprintf "t%02d" k));
+      if k mod 2 = 0 then ignore_fs (ops.fsync ino))
+    inos;
+  ignore_fs (ops.readdir Ext3.root_ino);
+  ignore_fs
+    (ops.rename ~src_dir:Ext3.root_ino ~src_name:"t01" ~dst_dir:Ext3.root_ino ~dst_name:"t01.new");
+  ignore_fs (ops.unlink ~dir:Ext3.root_ino "t02");
+  ignore_fs (ops.truncate (List.assoc 3 inos) 100)
+
+let test_transport_costs_unchanged () =
+  let sums = Array.make 12 0 in
+  let kinds = [ "drop_request"; "drop_response"; "duplicate"; "delay"; "partition" ] in
+  let injected = Hashtbl.create 8 in
+  List.iter
+    (fun (seed, piggyback) ->
+      let registry, clock, plan, net, client =
+        faulty_link ~seed ~piggyback ~handler_hook:(fun _ -> ())
+      in
+      transport_workload client;
+      (* faults clear: everything parked drains *)
+      Fault.deactivate plan;
+      (match Client.flush client with Ok () -> () | Error _ -> Alcotest.fail "flush");
+      (match Client.drain_backlog client with Ok () -> () | Error _ -> Alcotest.fail "drain");
+      let v name = Option.value (Telemetry.counter_value registry name) ~default:0 in
+      List.iter
+        (fun kind ->
+          let n = v ("fault.injected." ^ kind) in
+          Hashtbl.replace injected kind (n + Option.value (Hashtbl.find_opt injected kind) ~default:0))
+        kinds;
+      let st = Client.stats client in
+      let rtt = Option.get (Telemetry.histogram_summary registry "panfs.rpc_latency") in
+      List.iteri
+        (fun k x -> sums.(k) <- sums.(k) + x)
+        [ Simdisk.Clock.now clock; net.Proto.messages; net.bytes; st.rpcs; st.retries; st.txns;
+          st.inline_writes; v "nfs.batch_rpcs"; v "nfs.batched_writes"; v "nfs.drc.hits";
+          rtt.count; int_of_float rtt.sum ])
+    [ (3, true); (3, false); (17, true); (17, false); (41, true); (41, false) ];
+  List.iter
+    (fun kind -> check tbool (kind ^ " injected") true (Hashtbl.find injected kind > 0))
+    kinds;
+  (* golden values produced by the copying transport and write-behind *)
+  check Alcotest.(list int)
+    "clock, messages, bytes, rpcs, retries, txns, inline, batch rpcs/writes, DRC hits, \
+     rpc_latency count/sum"
+    [ 1441400295; 1229; 3753211; 549; 56; 12; 30; 9; 30; 54; 549; 1412148825 ]
+    (Array.to_list sums)
+
+(* Write-behind by reference: random streams of contiguous and scattered,
+   short and large writes over several files, through the plain buffer or
+   the provenance riders, with piggybacking on or off.  After a flush the
+   server holds exactly what a flat per-file model says, and the request
+   datagrams are the ones the copying buffers sent (MD5 pinned). *)
+type wb_write = { w_file : int; w_at : int option (* None = append *); w_len : int; w_fill : int }
+type wb_step = Wb_write of wb_write | Wb_barrier
+type wb_prog = { wp_piggyback : bool; wp_prov : bool; wp_steps : wb_step list }
+
+let gen_wb_prog =
+  let open QCheck2.Gen in
+  let len =
+    frequency
+      [ (5, int_range 1 4095); (4, int_range 4096 20_000); (1, int_range 60_000 70_000) ]
+  in
+  let write =
+    map
+      (fun (((w_file, at), w_len), w_fill) -> { w_file; w_at = at; w_len; w_fill })
+      (pair (pair (pair (int_range 0 3) (frequency [ (3, pure None); (1, map Option.some (int_range 0 90_000)) ])) len)
+         (int_range 0 25))
+  in
+  let step = frequency [ (9, map (fun w -> Wb_write w) write); (1, pure Wb_barrier) ] in
+  map
+    (fun ((wp_piggyback, wp_prov), wp_steps) -> { wp_piggyback; wp_prov; wp_steps })
+    (pair (pair bool bool) (list_size (int_range 1 16) step))
+
+let print_wb_prog p =
+  Printf.sprintf "{piggyback=%b; prov=%b; steps=[%s]}" p.wp_piggyback p.wp_prov
+    (String.concat "; "
+       (List.map
+          (function
+            | Wb_barrier -> "barrier"
+            | Wb_write w ->
+                Printf.sprintf "f%d@%s+%d/%d" w.w_file
+                  (match w.w_at with None -> "end" | Some o -> string_of_int o)
+                  w.w_len w.w_fill)
+          p.wp_steps))
+
+(* per-datagram digests, in send order, across every program run *)
+let wb_wire = Buffer.create 4096
+
+let run_wb_prog p =
+  let clock = Simdisk.Clock.create () in
+  let server = Server.create ~mode:Server.Pass_enabled ~clock ~machine:2 ~volume:"nfs0" () in
+  let net = Proto.net clock in
+  let dgram = Buffer.create 256 in
+  let handler c =
+    Buffer.clear dgram;
+    Proto.encode_call dgram c;
+    Buffer.add_string wb_wire (Digest.string (Buffer.contents dgram));
+    Server.handle server c
+  in
+  let client =
+    Client.create ~piggyback:p.wp_piggyback ~net ~handler ~ctx:(Ctx.create ~machine:1)
+      ~mount_name:"nfs0" ()
+  in
+  let ops = Client.ops client in
+  let files =
+    Array.init 4 (fun k ->
+        let ino = ok_fs (ops.create ~dir:Ext3.root_ino (Printf.sprintf "w%d" k) Vfs.Regular) in
+        (ino, ok_fs (Client.file_handle client ino), ref Bytes.empty))
+  in
+  List.iteri
+    (fun n step ->
+      match step with
+      | Wb_barrier ->
+          let ino, _, _ = files.(0) in
+          let _ : Vfs.stat = ok_fs (ops.getattr ino) in
+          ()
+      | Wb_write w ->
+          let ino, h, model = files.(w.w_file) in
+          let off = match w.w_at with Some o -> o | None -> Bytes.length !model in
+          let data = String.init w.w_len (fun i -> Char.chr (97 + ((w.w_fill + i) mod 26))) in
+          if off + w.w_len > Bytes.length !model then
+            model := Bytes.cat !model (Bytes.make (off + w.w_len - Bytes.length !model) '\000');
+          Bytes.blit_string data 0 !model off w.w_len;
+          if p.wp_prov then
+            ignore
+              (ok
+                 (Client.pass_write client h ~off ~data:(Some data)
+                    [ Dpapi.entry h [ Record.make "PARAMS" (Pvalue.Str (string_of_int n)) ] ])
+                : int)
+          else ok_fs (ops.write ino ~off data))
+    p.wp_steps;
+  ok_fs (Client.flush client);
+  Array.for_all
+    (fun (ino, _, model) ->
+      let size = (ok_fs (ops.getattr ino)).Vfs.st_size in
+      size = Bytes.length !model
+      && String.equal (ok_fs (ops.read ino ~off:0 ~len:size)) (Bytes.to_string !model))
+    files
+
+let prop_write_behind =
+  QCheck2.Test.make ~name:"panfs: write-behind matches a flat model" ~count:150
+    ~print:print_wb_prog gen_wb_prog run_wb_prog
+
+let test_write_behind_model () =
+  Buffer.clear wb_wire;
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 0x5eb |]) prop_write_behind;
+  check tstr "MD5 over every request datagram" "1dfb6f3b807280bbd04455a9e82abd1d"
+    (Digest.to_hex (Digest.string (Buffer.contents wb_wire)))
 
 let suite =
   [
@@ -535,4 +768,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_proto_roundtrip;
     Alcotest.test_case "server crash mid-transaction + recovery" `Quick
       test_server_crash_mid_txn;
+    Alcotest.test_case "panfs: transport costs unchanged" `Quick test_transport_costs_unchanged;
+    Alcotest.test_case "panfs: write-behind matches a flat model" `Quick test_write_behind_model;
   ]
