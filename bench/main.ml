@@ -10,7 +10,8 @@
      FIG1/PQL the layered two-server scenario + the paper's sample query
      ABLATION cycle avoidance vs PASSv1 detection; dedup; WAP; NFS txns
      MICRO    Bechamel microbenchmarks (one per table)
-     HOST     the simulator's own allocated words per Table 2 run *)
+     HOST     the simulator's own allocated words per Table 2 run, and
+              per pinned run of checkpoints *)
 
 module Record = Pass_core.Record
 module Pvalue = Pass_core.Pvalue
@@ -952,6 +953,47 @@ let host_words () =
   let s = Gc.quick_stat () in
   s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
 
+(* Words allocated by the [Waldo.checkpoint] calls of a pinned compacting
+   run (scale-independent): 64 objects in an ancestry chain, each revised
+   every round, checkpointed every 4 rounds with the newest 2 versions
+   kept hot. *)
+let checkpoint_words () =
+  let clock = Simdisk.Clock.create () in
+  let ext3 = Ext3.format (Simdisk.Disk.create ~registry:(Telemetry.create ()) ~clock ()) in
+  let lasagna =
+    Lasagna.create ~log_max:65536 ~lower:(Ext3.ops ext3) ~ctx:(Ctx.create ~machine:1)
+      ~volume:"vol0" ~charge:(Simdisk.Clock.advance clock) ()
+  in
+  let waldo = Waldo.create ~policy:Waldo.Manual ~compact_keep:2 ~lower:(Ext3.ops ext3) () in
+  Waldo.attach waldo lasagna;
+  let ep = Lasagna.endpoint lasagna in
+  let objs = Array.make 64 (Dpapi.handle (Pass_core.Pnode.of_int 0)) in
+  Array.iteri
+    (fun i _ ->
+      let h = Result.get_ok (ep.Dpapi.pass_mkobj ~volume:(Some "vol0")) in
+      let parent = if i = 0 then [] else [ Record.input_of objs.(i - 1).Dpapi.pnode 0 ] in
+      disclose_ ep h ([ Record.name (Printf.sprintf "obj%d" i); Record.typ "artifact" ] @ parent);
+      objs.(i) <- h)
+    objs;
+  let words = ref 0. in
+  for round = 1 to 24 do
+    Array.iter
+      (fun h ->
+        disclose_ ep h [ Record.make "PARAMS" (Pvalue.Int round) ];
+        let _ : (int, Dpapi.error) result = ep.Dpapi.pass_freeze h in
+        ())
+      objs;
+    if round mod 4 = 0 then begin
+      Lasagna.flush_log lasagna;
+      let before = host_words () in
+      (match Waldo.checkpoint waldo with
+      | Ok () -> ()
+      | Error e -> failwith ("checkpoint: " ^ Vfs.errno_to_string e));
+      words := !words +. (host_words () -. before)
+    end
+  done;
+  int_of_float !words
+
 (* Allocated words per Table 2 run for the workloads whose host cost the
    substrate dominates.  Reported, not gated: allocation differs across
    compilers, so pins wait for the generic benchdiff pin list.  Each run
@@ -995,7 +1037,9 @@ let host_bench ~scale =
         (w.Runner.wl_name, J.Obj runs))
       wls
   in
-  J.Obj [ ("alloc_words", J.Obj rows) ]
+  let checkpoint = checkpoint_words () in
+  Printf.printf "  %-28s %12d words\n" "checkpoints (pinned run)" checkpoint;
+  J.Obj [ ("alloc_words", J.Obj rows); ("checkpoint", J.Int checkpoint) ]
 
 let results_file = "BENCH_results.json"
 

@@ -60,6 +60,29 @@ let encode buf = function
       Buffer.add_int64_le buf (Int64.of_int (Pnode.to_int pnode));
       Buffer.add_int64_le buf (Int64.of_int version)
 
+(* [encode]'s output length, computed without encoding. *)
+let encoded_size = function
+  | Str s | Bytes s -> 5 + String.length s
+  | Int _ -> 9
+  | Bool _ -> 2
+  | Strs ss -> List.fold_left (fun acc s -> acc + 4 + String.length s) 5 ss
+  | Xref _ -> 17
+
+(* [encode] into preallocated bytes at [off]; returns the offset past it. *)
+let set_tag b off c =
+  Bytes.set b off c;
+  off + 1
+
+let write b off = function
+  | Str s -> Wire.set_string b (set_tag b off '\001') s
+  | Int i -> Wire.set_i64 b (set_tag b off '\002') i
+  | Bool x -> Wire.set_u8 b (set_tag b off '\003') (if x then 1 else 0)
+  | Bytes s -> Wire.set_string b (set_tag b off '\004') s
+  | Strs ss ->
+      List.fold_left (Wire.set_string b) (Wire.set_u32 b (set_tag b off '\005') (List.length ss)) ss
+  | Xref { pnode; version } ->
+      Wire.set_i64 b (Wire.set_i64 b (set_tag b off '\006') (Pnode.to_int pnode)) version
+
 exception Corrupt = Wire.Corrupt
 
 let get_u32 = Wire.get_u32

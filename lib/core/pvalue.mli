@@ -27,6 +27,15 @@ val encode : Buffer.t -> t -> unit
 (** [encode buf v] appends the wire form of [v] to [buf].  The format is
     shared by the Lasagna WAP log and the PA-NFS protocol. *)
 
+val encoded_size : t -> int
+(** [encoded_size v] is the length {!encode} appends, computed without
+    encoding. *)
+
+val write : Bytes.t -> int -> t -> int
+(** [write b off v] writes the wire form of [v] into [b] at [off] and
+    returns the offset just past it; [b] must have room for
+    {!encoded_size}[ v] bytes there. *)
+
 val decode : string -> int ref -> t
 (** [decode s pos] parses one value at [!pos], advancing [pos].
     @raise Corrupt on malformed input. *)

@@ -24,6 +24,10 @@ let encode buf { attr; value } =
   Pvalue.put_string buf attr;
   Pvalue.encode buf value
 
+let encoded_size { attr; value } = 4 + String.length attr + Pvalue.encoded_size value
+
+let write b off { attr; value } = Pvalue.write b (Wire.set_string b off attr) value
+
 let decode s pos =
   let attr = Pvalue.get_string s pos in
   let value = Pvalue.decode s pos in

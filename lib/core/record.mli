@@ -32,6 +32,13 @@ val xref_of : t -> Pvalue.xref option
 val encode : Buffer.t -> t -> unit
 (** Append the wire form (shared with the WAP log and PA-NFS). *)
 
+val encoded_size : t -> int
+(** The length {!encode} appends, computed arithmetically (no buffer). *)
+
+val write : Bytes.t -> int -> t -> int
+(** [write b off r] writes [r]'s wire form into [b] at [off] and returns
+    the offset just past it. *)
+
 val decode : string -> int ref -> t
 (** Parse one record, advancing the position.  @raise Pvalue.Corrupt. *)
 

@@ -44,24 +44,32 @@ let ( let* ) = Result.bind
 
 let image_magic = "PIMG1"
 
-let frame payload =
-  let digest = Digest.string payload in
-  let buf = Buffer.create (String.length payload + 64) in
-  Wire.put_string buf image_magic;
-  Wire.put_string buf digest;
-  Wire.put_string buf payload;
-  (Buffer.contents buf, digest)
+(* The frame is magic, MD5 and payload, each u32-length-prefixed. *)
+let digest_off = 4 + String.length image_magic + 4
+let header_size = digest_off + 16 + 4
 
-(* Publish [payload] at [path]: stage the framed bytes at [path].tmp,
-   then rename over [path].  Returns the payload digest recorded in the
-   frame.  A leftover `.tmp` from an earlier crashed attempt is
+(* Publish a [size]-byte payload at [path]: [fill b off] writes it into
+   the one buffer that also holds the frame header, whose digest is then
+   taken in place.  The framed bytes are staged at [path].tmp with a
+   single write_file, then renamed over [path].  Returns the payload
+   digest.  A leftover `.tmp` from an earlier crashed attempt is
    harmless: write_file truncates, and recovery deletes strays. *)
-let write_atomic lower ~path payload =
-  let framed, digest = frame payload in
+let write_sized lower ~path ~size fill =
+  let b = Bytes.create (header_size + size) in
+  let off = Wire.set_string b 0 image_magic in
+  let off = Wire.set_u32 b off 16 in
+  let _ : int = Wire.set_u32 b (off + 16) size in
+  fill b header_size;
+  let digest = Digest.subbytes b header_size size in
+  Bytes.blit_string digest 0 b digest_off 16;
   let tmp = path ^ ".tmp" in
-  let* _ino = Vfs.write_file ~mkparents:true lower tmp framed in
+  let* _ino = Vfs.write_file ~mkparents:true lower tmp (Bytes.unsafe_to_string b) in
   let* () = Vfs.rename_path lower tmp path in
   Ok digest
+
+let write_atomic lower ~path payload =
+  let size = String.length payload in
+  write_sized lower ~path ~size (fun b off -> Bytes.blit_string payload 0 b off size)
 
 (* Read a digest-framed payload back; any mismatch — bad magic, torn
    frame, payload bytes that do not hash to the recorded digest — is
@@ -157,9 +165,16 @@ let read_manifest lower ~dir =
 
 (* --- WAP log truncation ---------------------------------------------------- *)
 
+(* The exact inverse of [Lasagna.log_name]: "log." and a canonical
+   non-negative decimal.  Anything else int_of_string would also take —
+   a sign, a radix prefix, leading zeros, underscores — names some other
+   file, which truncation must not delete nor recovery replay. *)
 let log_seq name =
   if String.length name > 4 && String.equal (String.sub name 0 4) "log." then
-    int_of_string_opt (String.sub name 4 (String.length name - 4))
+    let digits = String.sub name 4 (String.length name - 4) in
+    match int_of_string_opt digits with
+    | Some n when n >= 0 && String.equal (string_of_int n) digits -> Some n
+    | _ -> None
   else None
 
 (* Delete every closed WAP log wholly covered by a durable checkpoint

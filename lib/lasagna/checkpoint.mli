@@ -34,6 +34,18 @@ val write_atomic :
     it at [path ^ ".tmp"], renames it over [path], and returns the
     payload digest. *)
 
+val write_sized :
+  Vfs.ops ->
+  path:string ->
+  size:int ->
+  (Bytes.t -> int -> unit) ->
+  (string, Vfs.errno) result
+(** [write_sized lower ~path ~size fill] publishes a [size]-byte payload
+    like {!write_atomic}, without a payload string: the framed file is
+    one buffer of exactly its size, [fill b off] writes the payload into
+    it at [off], and the digest is taken in place.  One
+    [Vfs.write_file] stages it. *)
+
 val read_verified :
   Vfs.ops -> path:string -> (string * string, Vfs.errno) result
 (** Read a digest-framed payload back as [(payload, digest)].  Bad
@@ -50,7 +62,9 @@ val read_manifest :
     manifest. *)
 
 val log_seq : string -> int option
-(** Parse the sequence number out of a WAP log name ["log.<n>"]. *)
+(** Parse the sequence number out of a WAP log name ["log.<n>"]: the
+    exact inverse of [Lasagna.log_name], so [<n>] must be a canonical
+    non-negative decimal ([log.007], [log.-1], [log.0x10] are not logs). *)
 
 val truncate_covered : Vfs.ops -> watermark:int -> (int, Vfs.errno) result
 (** Delete every WAP log under [/.pass] with seq < watermark; returns

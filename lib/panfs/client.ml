@@ -337,11 +337,7 @@ let chunk_bundle bundle =
           let groups = ref [] and current = ref [] and size = ref 0 in
           List.iter
             (fun r ->
-              let rsz =
-                let buf = Buffer.create 64 in
-                Record.encode buf r;
-                Buffer.length buf
-              in
+              let rsz = Record.encoded_size r in
               if !size + rsz > budget && !current <> [] then begin
                 groups := List.rev !current :: !groups;
                 current := [];

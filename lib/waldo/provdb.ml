@@ -17,10 +17,11 @@
    - a per-node resident-version index (which versions hold quads).
 
    All secondary indexes are maintained incrementally by [add_record] and
-   [set_file], so every load path — deserialize, merge_into, compact,
-   archive fault-in — rebuilds them for free.  Byte accounting mirrors
-   Table 3: [db_bytes] is the encoded size of the node and quad tables,
-   [index_bytes] the encoded size of the indexes. *)
+   [set_file], so every load path — deserialize, merge_into, archive
+   fault-in — rebuilds them for free, and [expire] unindexes exactly the
+   versions it drops.  Byte accounting mirrors Table 3: [db_bytes] is the
+   encoded size of the node and quad tables, [index_bytes] the encoded
+   size of the indexes. *)
 
 module Pnode = Pass_core.Pnode
 module Pvalue = Pass_core.Pvalue
@@ -48,12 +49,10 @@ type node = {
 
 type quad = { q_pnode : Pnode.t; q_version : int; q_attr : string; q_value : Pvalue.t }
 
-(* One inverted-index posting list.  Entries are deduplicated at insert
-   time ([ae_seen]) and kept in reverse insertion order; the sorted view
-   handed to queries is memoized and invalidated on insert, so repeated
-   [with_attr] probes stop re-sorting (ISSUE 9 small fix). *)
+(* One inverted-index posting set, deduplicated by construction.  The
+   sorted view handed to queries is memoized and invalidated on insert
+   and removal, so repeated [with_attr] probes do not re-sort. *)
 type attr_entry = {
-  mutable ae_entries : (Pnode.t * int) list;
   ae_seen : (Pnode.t * int, unit) Hashtbl.t;
   mutable ae_sorted : (Pnode.t * int) list option;
 }
@@ -76,11 +75,16 @@ type t = {
       (* memoized [0..max_version] enumeration, keyed by the max it was
          built for (ISSUE 9 small fix: no per-call re-allocation) *)
   mutable quad_count : int;
+  mutable quad_bytes : int; (* the quad table's share of db_bytes *)
   mutable edge_count : int; (* ancestry quads ingested, with multiplicity *)
   mutable file_count : int;
   mutable db_bytes : int;
   mutable index_bytes : int;
   mutable floored : int;  (* how many nodes have floor > 0 *)
+  mutable renamed : (string * Pnode.t) list;
+      (* aliases a set_file rename left behind: a rebuild indexes only a
+         node's current name and its NAME records, so [expire] re-checks
+         these *)
   mutable cold_loaded : bool;  (* archive history already faulted in *)
   mutable fault_handler : fault_handler option;
 }
@@ -103,11 +107,13 @@ let create () =
     resident = Hashtbl.create 8192;
     versions_memo = Hashtbl.create 256;
     quad_count = 0;
+    quad_bytes = 0;
     edge_count = 0;
     file_count = 0;
     db_bytes = 0;
     index_bytes = 0;
     floored = 0;
+    renamed = [];
     cold_loaded = false;
     fault_handler = None;
   }
@@ -153,6 +159,7 @@ let set_file t pnode ~name =
   n.declared <- true;
   if name <> "" then begin
     (match n.node_name with
+    | Some old when old <> "" && not (String.equal old name) -> t.renamed <- (old, pnode) :: t.renamed
     | Some _ -> ()
     | None -> t.db_bytes <- t.db_bytes + String.length name);
     n.node_name <- Some name;
@@ -163,16 +170,16 @@ let declare_virtual t pnode =
   let n = node t pnode in
   n.declared <- true
 
-let encoded_record_size record =
-  let buf = Buffer.create 32 in
-  Record.encode buf record;
-  Buffer.length buf
+(* Attribute-index key: the uppercased attribute, allocated only when
+   there is something to uppercase. *)
+let is_lower c = c >= 'a' && c <= 'z'
+let attr_key attr = if String.exists is_lower attr then String.uppercase_ascii attr else attr
 
 let attr_entry t key =
   match Hashtbl.find_opt t.attrs key with
   | Some ae -> ae
   | None ->
-      let ae = { ae_entries = []; ae_seen = Hashtbl.create 64; ae_sorted = None } in
+      let ae = { ae_seen = Hashtbl.create 64; ae_sorted = None } in
       Hashtbl.add t.attrs key ae;
       ae
 
@@ -206,12 +213,12 @@ let add_record t pnode ~version (record : Record.t) =
       | Some l -> l := insert_version version !l
       | None -> Hashtbl.add t.resident pnode (ref [ version ])));
   t.quad_count <- t.quad_count + 1;
-  let sz = encoded_record_size record in
-  t.db_bytes <- t.db_bytes + sz + 16;
-  let ae = attr_entry t (String.uppercase_ascii record.attr) in
+  let sz = Record.encoded_size record + 16 in
+  t.quad_bytes <- t.quad_bytes + sz;
+  t.db_bytes <- t.db_bytes + sz;
+  let ae = attr_entry t (attr_key record.attr) in
   if not (Hashtbl.mem ae.ae_seen (pnode, version)) then begin
     Hashtbl.replace ae.ae_seen (pnode, version) ();
-    ae.ae_entries <- (pnode, version) :: ae.ae_entries;
     ae.ae_sorted <- None;
     t.index_bytes <- t.index_bytes + 20 (* attr index entry *)
   end;
@@ -294,8 +301,8 @@ let resident_versions t pnode =
 let version_range t pnode =
   match find_node t pnode with None -> None | Some n -> Some (n.floor, n.max_version)
 
-(* Raw accessors see only what is resident — serialize and compact use
-   them so snapshotting the hot tier never faults the archive in. *)
+(* Raw accessors see only what is resident — images and expire use them
+   so snapshotting the hot tier never faults the archive in. *)
 let records_at_raw t pnode ~version =
   match Hashtbl.find_opt t.quads (pnode, version) with
   | Some l -> List.rev !l
@@ -345,13 +352,13 @@ let in_edges t pnode =
 
 let with_attr t attr =
   if t.floored > 0 then maybe_fault_in t;
-  match Hashtbl.find_opt t.attrs (String.uppercase_ascii attr) with
+  match Hashtbl.find_opt t.attrs (attr_key attr) with
   | None -> []
   | Some ae -> (
       match ae.ae_sorted with
       | Some l -> l
       | None ->
-          let l = List.sort compare_pv ae.ae_entries in
+          let l = List.sort compare_pv (Hashtbl.fold (fun pv () acc -> pv :: acc) ae.ae_seen []) in
           ae.ae_sorted <- Some l;
           l)
 
@@ -370,7 +377,7 @@ let file_count t = t.file_count
 let edge_count t = t.edge_count
 
 let attr_cardinality t attr =
-  match Hashtbl.find_opt t.attrs (String.uppercase_ascii attr) with
+  match Hashtbl.find_opt t.attrs (attr_key attr) with
   | Some ae -> Hashtbl.length ae.ae_seen
   | None -> 0
 
@@ -451,55 +458,207 @@ let merge_into ~dst ~src =
    secondary indexes agree with the writer's. *)
 let attr_entry_total t = Hashtbl.fold (fun _ ae acc -> acc + Hashtbl.length ae.ae_seen) t.attrs 0
 
-(* Serialize the node and quad tables (secondary indexes are rebuilt on
-   load, since add_record maintains them).  Deterministic order so
-   persisted images are stable.  Only resident quads are written (raw
+(* An image is the node table plus, per node, the resident quads of one
+   version range, written in a deterministic order so persisted images
+   are stable: nodes in pnode order, versions ascending, each version's
+   quads in ingest order.  Only resident quads are written (raw
    accessors), so the hot tier snapshots without faulting the archive
    in.  Quad bytes are a pure function of which versions are resident —
    each version's quads live wholly in one tier and keep their ingest
-   order — so two dbs that went through the same compaction history
-   serialize identically no matter how they got there (replay, image
-   load, fault-in).
+   order — so two dbs that went through the same expiry history write
+   identical images no matter how they got there (replay, image load,
+   fault-in).
 
-   PROVDB4 appends an index-stats footer (ancestry-edge count and total
-   attr-index cardinality over the written quads); deserialize recomputes
-   both from its rebuilt indexes and rejects the image on mismatch, so a
-   db whose incremental index maintenance drifted cannot round-trip. *)
-let serialize t =
-  let buf = Buffer.create 65536 in
-  Wire.put_string buf "PROVDB4";
-  let nodes = List.sort (fun a b -> Pnode.compare a.pnode b.pnode) (all_nodes t) in
-  Wire.put_u32 buf (List.length nodes);
-  List.iter
-    (fun n ->
-      Wire.put_i64 buf (Pnode.to_int n.pnode);
-      (* kind byte: 1 = file, 2 = declared virtual, 0 = undeclared stub *)
-      Wire.put_u8 buf (match (n.kind, n.declared) with
-        | File, _ -> 1
-        | Virtual, true -> 2
-        | Virtual, false -> 0);
-      Wire.put_string buf (Option.value n.node_name ~default:"");
-      Wire.put_i64 buf n.max_version;
-      Wire.put_i64 buf n.floor)
-    nodes;
-  let quads =
-    List.concat_map
-      (fun n ->
-        List.concat_map
-          (fun v -> records_at_raw t n.pnode ~version:v)
-          (List.init (n.max_version + 1) Fun.id))
-      nodes
+   The ranges follow the paper's frozen-version semantics: a version
+   below the latest is immutable, so all but the newest [keep] versions
+   of a node can leave the hot tier.  Per node the cutoff is
+   [max floor (max_version - keep + 1)], and
+
+   - [Hot keep] writes [cutoff, max_version] with the floor raised to
+     the cutoff: the checkpoint image, and exactly what {!expire} keeps;
+   - [Cold keep] writes [floor, cutoff) with the floor as it is: this
+     generation's archive segment.  Versions below the floor are never
+     re-emitted even when resident (faulted in), since earlier segments
+     are append-only;
+   - [All] writes every resident version from 0 with the floor as it is.
+
+   Every range carries the full node table (node entries are a few dozen
+   bytes; quads and edges are the bulk), so the hot tier answers
+   existence/name/version queries without touching the archive.
+
+   PROVDB4 appends an index-stats footer: the ancestry-edge count and the
+   distinct attribute postings per (pnode, version), over the quads
+   written.  [All] writes the live counters instead, which agree unless
+   incremental index maintenance drifted — and then deserialize, which
+   recomputes both from its rebuilt indexes, rejects the image. *)
+type range = All | Hot of int | Cold of int
+
+let cutoff ~keep n = max n.floor (max 0 (n.max_version - max 1 keep + 1))
+
+let range_lo range n =
+  match range with All -> 0 | Hot keep -> cutoff ~keep n | Cold _ -> n.floor
+
+let range_hi range n =
+  match range with All | Hot _ -> n.max_version | Cold keep -> cutoff ~keep n - 1
+
+let range_floor range n = match range with All | Cold _ -> n.floor | Hot keep -> cutoff ~keep n
+
+(* The value of the oldest NAME record at versions [lo, hi] of [n]. *)
+let first_name t n ~lo ~hi =
+  let name (q : quad) =
+    match q.q_value with
+    | Pvalue.Str s when String.equal q.q_attr Record.Attr.name -> Some s
+    | _ -> None
   in
-  Wire.put_u32 buf (List.length quads);
-  List.iter
-    (fun q ->
-      Wire.put_i64 buf (Pnode.to_int q.q_pnode);
-      Wire.put_i64 buf q.q_version;
-      Record.encode buf { Record.attr = q.q_attr; value = q.q_value })
-    quads;
-  Wire.put_i64 buf t.edge_count;
-  Wire.put_i64 buf (attr_entry_total t);
-  Buffer.contents buf
+  List.find_map
+    (fun v -> if v < lo || v > hi then None else List.find_map name (records_at_raw t n.pnode ~version:v))
+    (resident_versions t n.pnode)
+
+(* The name a node-table entry carries.  Hot and cold images carry the
+   name a db re-ingesting only their range would hold: a file declared
+   under the empty name takes its first NAME record in the range. *)
+let image_name t range n =
+  match (n.node_name, range) with
+  | Some "", (Hot _ | Cold _) when n.kind = File ->
+      Option.value (first_name t n ~lo:(range_lo range n) ~hi:(range_hi range n)) ~default:""
+  | Some s, _ -> s
+  | None, _ -> ""
+
+(* [Record.encoded_size] of a quad's record, without building it. *)
+let quad_size (q : quad) = 4 + String.length q.q_attr + Pvalue.encoded_size q.q_value
+
+let rec same_key_from a b i =
+  i = String.length a
+  || (Char.equal (Char.uppercase_ascii a.[i]) (Char.uppercase_ascii b.[i]) && same_key_from a b (i + 1))
+
+(* Whether [a] and [b] share an attribute-index key, without building it. *)
+let same_attr_key a b = String.length a = String.length b && same_key_from a b 0
+
+type image = {
+  i_db : t;
+  i_range : range;
+  i_nodes : node array; (* pnode order *)
+  i_size : int;
+  i_quads : int;
+  i_edges : int;
+  i_postings : int;
+}
+
+type tally = {
+  mutable n_quads : int;
+  mutable n_bytes : int;
+  mutable n_edges : int;
+  mutable n_postings : int;
+}
+
+let rec has_attr_key attr = function
+  | [] -> false
+  | (q : quad) :: rest -> same_attr_key attr q.q_attr || has_attr_key attr rest
+
+(* Count one version's quads (newest first): a quad opens a posting
+   unless an older quad of the version has the same attribute key. *)
+let rec tally_version acc = function
+  | [] -> ()
+  | (q : quad) :: older ->
+      acc.n_quads <- acc.n_quads + 1;
+      acc.n_bytes <- acc.n_bytes + 16 + quad_size q;
+      (match q.q_value with Pvalue.Xref _ -> acc.n_edges <- acc.n_edges + 1 | _ -> ());
+      if not (has_attr_key q.q_attr older) then acc.n_postings <- acc.n_postings + 1;
+      tally_version acc older
+
+(* The resident versions [vs] (ascending) of [p] within [lo, hi], as the
+   quad lists the image writes.  Every resident version holds quads. *)
+let rec tally_versions t acc p ~lo ~hi = function
+  | v :: rest when v <= hi ->
+      if v >= lo then tally_version acc !(Hashtbl.find t.quads (p, v));
+      tally_versions t acc p ~lo ~hi rest
+  | _ -> ()
+
+let sorted_nodes t =
+  let nodes = ref [||] and i = ref 0 in
+  Hashtbl.iter
+    (fun _ n ->
+      if !i = 0 then nodes := Array.make (Hashtbl.length t.nodes) n;
+      !nodes.(!i) <- n;
+      incr i)
+    t.nodes;
+  Array.sort (fun a b -> Pnode.compare a.pnode b.pnode) !nodes;
+  !nodes
+
+let image ?(range = All) t =
+  let nodes = sorted_nodes t in
+  let acc = { n_quads = 0; n_bytes = 0; n_edges = 0; n_postings = 0 } in
+  let table = ref 0 in
+  Array.iter
+    (fun n ->
+      (* pnode, kind, name, max_version, floor *)
+      table := !table + 29 + String.length (image_name t range n);
+      tally_versions t acc n.pnode ~lo:(range_lo range n) ~hi:(range_hi range n) (resident_versions t n.pnode))
+    nodes;
+  let edges, postings =
+    match range with
+    | All -> (t.edge_count, attr_entry_total t)
+    | Hot _ | Cold _ -> (acc.n_edges, acc.n_postings)
+  in
+  {
+    i_db = t;
+    i_range = range;
+    i_nodes = nodes;
+    (* magic, node count, node table, quad count, quads, footer *)
+    i_size = 11 + 4 + !table + 4 + acc.n_bytes + 16;
+    i_quads = acc.n_quads;
+    i_edges = edges;
+    i_postings = postings;
+  }
+
+let image_size im = im.i_size
+let image_quads im = im.i_quads
+
+let write_node im b off n =
+  let off = Wire.set_i64 b off (Pnode.to_int n.pnode) in
+  (* kind byte: 1 = file, 2 = declared virtual, 0 = undeclared stub *)
+  let off =
+    Wire.set_u8 b off (match (n.kind, n.declared) with File, _ -> 1 | Virtual, true -> 2 | Virtual, false -> 0)
+  in
+  let off = Wire.set_string b off (image_name im.i_db im.i_range n) in
+  let off = Wire.set_i64 b off n.max_version in
+  Wire.set_i64 b off (range_floor im.i_range n)
+
+(* A version's quads are stored newest first; write them oldest first. *)
+let rec write_version b off = function
+  | [] -> off
+  | (q : quad) :: older ->
+      let off = write_version b off older in
+      let off = Wire.set_i64 b off (Pnode.to_int q.q_pnode) in
+      let off = Wire.set_i64 b off q.q_version in
+      Pvalue.write b (Wire.set_string b off q.q_attr) q.q_value
+
+let rec write_versions t b off p ~lo ~hi = function
+  | v :: rest when v <= hi ->
+      let off = if v >= lo then write_version b off !(Hashtbl.find t.quads (p, v)) else off in
+      write_versions t b off p ~lo ~hi rest
+  | _ -> off
+
+let write_quads im b off n =
+  write_versions im.i_db b off n.pnode ~lo:(range_lo im.i_range n) ~hi:(range_hi im.i_range n)
+    (resident_versions im.i_db n.pnode)
+
+let write_image im b off =
+  let start = off in
+  let off = Wire.set_string b off "PROVDB4" in
+  let off = Wire.set_u32 b off (Array.length im.i_nodes) in
+  let off = Array.fold_left (write_node im b) off im.i_nodes in
+  let off = Wire.set_u32 b off im.i_quads in
+  let off = Array.fold_left (write_quads im b) off im.i_nodes in
+  let off = Wire.set_i64 b off im.i_edges in
+  let off = Wire.set_i64 b off im.i_postings in
+  if off - start <> im.i_size then invalid_arg "Provdb.write_image: size drifted"
+
+let serialize ?range t =
+  let im = image ?range t in
+  let b = Bytes.create im.i_size in
+  write_image im b 0;
+  Bytes.unsafe_to_string b
 
 let deserialize image =
   let pos = ref 0 in
@@ -554,67 +713,146 @@ let deserialize image =
   end;
   t
 
-(* --- version compaction ---------------------------------------------------- *)
+(* --- in-place expiry ------------------------------------------------------- *)
 
-(* Split [t] into a hot db and a cold db along the paper's frozen-version
-   semantics: a version below the latest is frozen (immutable), so all
-   but the newest [keep] versions of each node can move to the cold
-   tier.  Per node the cutoff is [max floor (max_version - keep + 1)]:
+(* Drop every resident version below its node's cutoff and raise the
+   floors, leaving [t] as a db that re-ingested only the [Hot keep]
+   image's quads under the full node table would be: the same nodes,
+   quads, floors and counters, and the same index entries as sets.
+   That is [deserialize] of the image, except for a node a NAME record
+   named "": a virtual one keeps "", and a file takes its first kept
+   NAME record without a byte charge.  Each index loses exactly the
+   dropped versions' entries, so the work follows what expires. *)
 
-   - versions in [floor, cutoff) — newly expired — go to the cold db,
-     which becomes this generation's archive segment;
-   - versions below the old floor are NOT re-emitted even when they are
-     resident (faulted in): they already live in earlier segments, which
-     are append-only;
-   - the hot db keeps [cutoff, max_version] with its floor raised to the
-     cutoff.
+let remove_first eq x l =
+  let rec go = function [] -> [] | y :: rest -> if eq x y then rest else y :: go rest in
+  go l
 
-   Both outputs carry the full node table (node entries are a few dozen
-   bytes; quads and edges are the bulk), so the hot tier can answer
-   existence/name/version queries without touching the archive. *)
-let compact t ~keep =
-  let keep = max 1 keep in
-  let hot = create () and cold = create () in
-  let nodes = List.sort (fun a b -> Pnode.compare a.pnode b.pnode) (all_nodes t) in
-  let copy_node dst (n : node) =
-    (match (n.kind, n.declared) with
-    | File, _ -> set_file dst n.pnode ~name:(Option.value n.node_name ~default:"")
-    | Virtual, true -> declare_virtual dst n.pnode
-    | Virtual, false ->
-        let _ : node = node dst n.pnode in
-        ());
-    (match n.node_name with
-    | Some nm when n.kind = Virtual ->
-        let d = node dst n.pnode in
-        if d.node_name = None then d.node_name <- Some nm;
-        index_name dst nm n.pnode
-    | _ -> ());
-    let d = node dst n.pnode in
-    if n.max_version > d.max_version then d.max_version <- n.max_version
+let remove_pair t src parent =
+  Hashtbl.remove t.adj_seen (src, parent);
+  let drop tbl key v =
+    match Hashtbl.find_opt tbl key with
+    | Some l -> (
+        match remove_first Pnode.equal v !l with [] -> Hashtbl.remove tbl key | rest -> l := rest)
+    | None -> ()
   in
-  (* node tables first so add_record below finds fully-described nodes *)
+  drop t.anc src parent;
+  drop t.desc parent src;
+  t.index_bytes <- t.index_bytes - 32
+
+let remove_alias t name pnode =
+  match Hashtbl.find_opt t.names name with
+  | Some l when List.exists (Pnode.equal pnode) !l ->
+      (match remove_first Pnode.equal pnode !l with [] -> Hashtbl.remove t.names name | rest -> l := rest);
+      t.index_bytes <- t.index_bytes - String.length name - 12
+  | _ -> ()
+
+(* Unindex the dropped quads of one version; [key] is its (pnode,
+   version).  Ancestry targets are collected in [targets] for the
+   reverse-edge pass. *)
+let rec unindex_quads t key targets = function
+  | [] -> ()
+  | (q : quad) :: rest ->
+      t.quad_count <- t.quad_count - 1;
+      t.quad_bytes <- t.quad_bytes - 16 - quad_size q;
+      let k = attr_key q.q_attr in
+      (match Hashtbl.find_opt t.attrs k with
+      | Some ae when Hashtbl.mem ae.ae_seen key ->
+          Hashtbl.remove ae.ae_seen key;
+          ae.ae_sorted <- None;
+          t.index_bytes <- t.index_bytes - 20;
+          if Hashtbl.length ae.ae_seen = 0 then Hashtbl.remove t.attrs k
+      | _ -> ());
+      (match q.q_value with
+      | Pvalue.Xref x ->
+          t.edge_count <- t.edge_count - 1;
+          t.index_bytes <- t.index_bytes - 40;
+          Hashtbl.replace targets x.pnode ()
+      | _ -> ());
+      unindex_quads t key targets rest
+
+(* Whether some resident quad of [p] satisfies [pred]. *)
+let has_quad t p pred =
+  List.exists (fun v -> List.exists pred !(Hashtbl.find t.quads (p, v))) (resident_versions t p)
+
+let has_edge_to t p parent =
+  has_quad t p (fun q -> match q.q_value with Pvalue.Xref x -> Pnode.equal x.pnode parent | _ -> false)
+
+let has_name_record t p name =
+  has_quad t p (fun q ->
+      String.equal q.q_attr Record.Attr.name
+      && match q.q_value with Pvalue.Str s -> String.equal s name | _ -> false)
+
+let expire_node t targets n c resident =
+  let p = n.pnode in
+  let dropped = ref [] in
+  let rec drop = function
+    | v :: rest when v < c ->
+        let key = (p, v) in
+        let quads = !(Hashtbl.find t.quads key) in
+        Hashtbl.remove t.quads key;
+        Hashtbl.remove t.fwd key;
+        unindex_quads t key targets quads;
+        dropped := quads :: !dropped;
+        drop rest
+    | rest -> rest
+  in
+  (match drop !resident with [] -> Hashtbl.remove t.resident p | rest -> resident := rest);
+  (* a pnode adjacency pair or a name alias goes when no kept version
+     still supports it *)
   List.iter
-    (fun n ->
-      copy_node hot n;
-      copy_node cold n)
-    nodes;
+    (List.iter (fun (q : quad) ->
+         match q.q_value with
+         | Pvalue.Xref x ->
+             if Hashtbl.mem t.adj_seen (p, x.pnode) && not (has_edge_to t p x.pnode) then
+               remove_pair t p x.pnode
+         | Pvalue.Str s when String.equal q.q_attr Record.Attr.name ->
+             if not (Option.equal String.equal n.node_name (Some s) || has_name_record t p s) then
+               remove_alias t s p
+         | _ -> ()))
+    !dropped
+
+let expire t ~keep =
+  let targets : (Pnode.t, unit) Hashtbl.t = Hashtbl.create 64 in
+  let file_names = ref 0 in
+  Hashtbl.iter
+    (fun p n ->
+      let c = cutoff ~keep n in
+      set_floor t n c;
+      (match Hashtbl.find_opt t.resident p with
+      | Some ({ contents = v :: _ } as resident) when v < c -> expire_node t targets n c resident
+      | _ -> ());
+      match (n.kind, n.node_name) with
+      | File, Some "" ->
+          (* as in the image: a file named "" takes its first kept NAME
+             record, uncharged (a file's name is charged when set_file
+             declares it, and here that name was empty) *)
+          n.node_name <- first_name t n ~lo:c ~hi:n.max_version
+      | File, Some s -> file_names := !file_names + String.length s
+      | _ -> ())
+    t.nodes;
   List.iter
-    (fun (n : node) ->
-      let cutoff = max n.floor (max 0 (n.max_version - keep + 1)) in
-      for v = n.floor to n.max_version do
-        let dst = if v < cutoff then cold else hot in
-        List.iter
-          (fun (q : quad) ->
-            add_record dst q.q_pnode ~version:v { Record.attr = q.q_attr; value = q.q_value })
-          (records_at_raw t n.pnode ~version:v)
-      done;
-      let hn = node hot n.pnode in
-      set_floor hot hn cutoff;
-      (* the cold db records the segment's base so it is self-describing *)
-      let cn = node cold n.pnode in
-      set_floor cold cn n.floor)
-    nodes;
-  (hot, cold)
+    (fun (name, p) ->
+      let n = Hashtbl.find t.nodes p in
+      if not (Option.equal String.equal n.node_name (Some name) || has_name_record t p name) then
+        remove_alias t name p)
+    t.renamed;
+  t.renamed <- [];
+  (* a reverse edge is stale exactly when its source version fell below
+     the source's new floor *)
+  Hashtbl.iter
+    (fun target () ->
+      match Hashtbl.find_opt t.rev target with
+      | Some l -> (
+          match
+            List.filter (fun (src, srcv, _, _) -> srcv >= (Hashtbl.find t.nodes src).floor) !l
+          with
+          | [] -> Hashtbl.remove t.rev target
+          | rest -> l := rest)
+      | None -> ())
+    targets;
+  t.db_bytes <- (24 * Hashtbl.length t.nodes) + !file_names + t.quad_bytes;
+  t.cold_loaded <- false
 
 (* --- integrity ----------------------------------------------------------- *)
 

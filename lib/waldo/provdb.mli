@@ -7,7 +7,8 @@
     ancestry adjacency for transitive-reachability estimates, and a
     per-node resident-version index.  All secondary indexes are
     maintained incrementally by {!add_record}/{!set_file}, so every load
-    path (deserialize, merge, compact, archive fault-in) rebuilds them.
+    path (deserialize, merge, archive fault-in) rebuilds them, and
+    {!expire} unindexes exactly the versions it drops.
     Byte accounting mirrors the paper's Table 3 ([db_bytes] for the
     tables, [index_bytes] for the indexes). *)
 
@@ -26,9 +27,9 @@ type node = {
           [false] for nodes that exist only because an ancestry record
           referenced them.  The pvcheck cross-layer pass keys on this. *)
   mutable floor : int;
-      (** Versions below the floor were compacted into a cold-tier
+      (** Versions below the floor were expired into a cold-tier
           archive segment; the hot db holds [floor, max_version].  [0]
-          means nothing archived.  Maintained by {!compact},
+          means nothing archived.  Maintained by {!expire},
           {!deserialize} and {!merge_into} — not meant to be set by
           hand. *)
 }
@@ -128,11 +129,45 @@ val reach_ancestors : t -> ?limit:int -> Pnode.t -> Pnode.t list
 
 val reach_descendants : t -> ?limit:int -> Pnode.t -> Pnode.t list
 
-val serialize : t -> string
-(** On-disk image of the node and quad tables (indexes are rebuilt by
-    {!deserialize}).  The current format, PROVDB4, appends an
-    index-stats footer so a loader can prove its rebuilt indexes agree
-    with the writer's. *)
+(** {2 Images}
+
+    An image is the on-disk form of the node table plus the resident
+    quads of one version range per node (secondary indexes are rebuilt by
+    {!deserialize}).  Nodes are written in pnode order, versions
+    ascending, each version's quads in ingest order.  The current format,
+    PROVDB4, appends an index-stats footer — edge count and distinct
+    attribute postings per (pnode, version) over the quads written — so a
+    loader can prove its rebuilt indexes agree with the writer's.  Images
+    read only resident quads: writing one never faults the archive in. *)
+
+type range =
+  | All  (** every resident version, floors as they are *)
+  | Hot of int
+      (** [Hot keep]: per node the newest [keep] versions (at least 1),
+          [cutoff, max_version] with [cutoff = max floor (max_version -
+          keep + 1)], written with the floor raised to the cutoff — the
+          checkpoint image *)
+  | Cold of int
+      (** [Cold keep]: [floor, cutoff), floors as they are — the archive
+          segment of what [Hot keep] leaves out.  Versions below the floor
+          are never re-emitted: earlier segments are append-only. *)
+
+type image
+(** A measured image of a db: its exact size is known before a byte is
+    written.  Valid until the db changes. *)
+
+val image : ?range:range -> t -> image
+(** Measure the image of [range] (default [All]). *)
+
+val image_size : image -> int
+val image_quads : image -> int
+
+val write_image : image -> Bytes.t -> int -> unit
+(** [write_image im b off] writes the image into [b] at [off]; [b] must
+    hold {!image_size}[ im] bytes there. *)
+
+val serialize : ?range:range -> t -> string
+(** The image of [range] (default [All]) as a string. *)
 
 val deserialize : string -> t
 (** Loads PROVDB4 images as well as the older PROVDB3/PROVDB2 formats
@@ -147,13 +182,18 @@ val merge_into : dst:t -> src:t -> unit
     the local disk).  Version metadata is carried along: [dst] nodes
     take the max of both sides' [max_version] and [floor]. *)
 
-val compact : t -> keep:int -> t * t
-(** [compact t ~keep] splits [t] into [(hot, cold)] along the paper's
-    frozen-version semantics.  Per node, all but the newest [keep]
-    versions move to [cold] (this generation's archive segment); [hot]
-    keeps the rest with its floor raised.  Versions below the previous
-    floor are never re-emitted — earlier archive segments are
-    append-only.  Both outputs carry the full node table. *)
+val expire : t -> keep:int -> unit
+(** [expire t ~keep] drops in place every resident version that
+    [image ~range:(Hot keep)] leaves out, faulted-in archive versions
+    included, raises each node's floor to its cutoff and marks the archive
+    unloaded.  Afterwards [t] equals [deserialize] of the [Hot keep] image
+    taken just before — nodes, quads, every index as a set, and both byte
+    counters — so a checkpoint can write its image from the live db and
+    then expire, with work proportional to what expires.  The one
+    exception is a node a NAME record named "": a virtual one keeps "",
+    and a file takes its first kept NAME record without a byte charge,
+    where a deserialized image would name both and charge the file.
+    Re-arm the fault handler with the new segment list afterwards. *)
 
 val set_fault_handler : t -> (t -> bool) -> unit
 (** Register the archive fault-in handler: called at most once per

@@ -43,7 +43,7 @@ type instruments = {
 type policy = Disabled | Manual | Every_frames of int
 
 type t = {
-  mutable db : Provdb.t; (* replaced by checkpoint compaction and recover *)
+  mutable db : Provdb.t; (* replaced by recover *)
   lower : Vfs.ops; (* the file system holding the .pass directory *)
   ingest_version : (Pnode.t, int) Hashtbl.t; (* version tracking during ingest *)
   pending_txns : (int, Dpapi.bundle list ref) Hashtbl.t;
@@ -213,7 +213,8 @@ let remove_if_exists lower path =
   | Error e -> Error e
 
 (* Take a checkpoint: stage every payload file, then commit with the
-   manifest rename, then clean up what the new manifest obsoletes.
+   manifest rename, expire the archived versions from the live db, then
+   clean up what the new manifest obsoletes.
 
    Write order is the crash argument.  Before the manifest rename is
    durable nothing references the staged files, so a crash leaves the
@@ -221,36 +222,39 @@ let remove_if_exists lower path =
    still on disk.  After it, the new manifest names a complete,
    digest-verified set.  Cleanup — truncating covered logs, dropping the
    previous generation's image/sidecar — runs last and is idempotent;
-   [recover] finishes it if a crash interrupts. *)
+   [recover] finishes it if a crash interrupts.
+
+   The image and the archive segment are written straight from the live
+   db, each as one framed buffer, and the db is only changed after the
+   commit: expiring in place leaves it equal to the rebuild of its own
+   hot image (DESIGN §19), and a failure before the commit leaves it
+   untouched. *)
 let checkpoint t =
   Pvtrace.span t.tracer ~layer:"waldo" ~op:"checkpoint" @@ fun () ->
   let dir = t.checkpoint_dir in
   let gen = t.gen + 1 in
   let watermark = t.next_watermark in
-  (* stage compaction in memory (pure) *)
   let keep = Option.value t.compact_keep ~default:max_int in
-  let hot, cold =
-    if keep = max_int && not (Provdb.cold_loaded t.db) then
-      (* nothing to strip: the resident db IS the hot tier *)
-      (t.db, None)
-    else
-      let h, c = Provdb.compact t.db ~keep in
-      (h, if Provdb.quad_count c > 0 then Some c else None)
+  (* without compaction and with nothing faulted in, the resident db IS
+     the hot tier *)
+  let compacting = keep <> max_int || Provdb.cold_loaded t.db in
+  let write_image path im =
+    Checkpoint.write_sized t.lower ~path ~size:(Provdb.image_size im) (Provdb.write_image im)
   in
   (* stage payload files; none is referenced until the manifest commits *)
   let db_name = Checkpoint.image_name ~gen in
   let* db_digest =
-    Checkpoint.write_atomic t.lower ~path:(dir ^ "/" ^ db_name) (Provdb.serialize hot)
+    write_image (dir ^ "/" ^ db_name)
+      (Provdb.image ~range:(if compacting then Provdb.Hot keep else Provdb.All) t.db)
   in
   let* archives =
+    let cold = if compacting then Some (Provdb.image ~range:(Provdb.Cold keep) t.db) else None in
     match cold with
-    | None -> Ok t.archives
-    | Some c ->
+    | Some cold when Provdb.image_quads cold > 0 ->
         let name = Checkpoint.archive_name ~gen in
-        let* digest =
-          Checkpoint.write_atomic t.lower ~path:(dir ^ "/" ^ name) (Provdb.serialize c)
-        in
+        let* digest = write_image (dir ^ "/" ^ name) cold in
         Ok (t.archives @ [ (name, digest) ])
+    | _ -> Ok t.archives
   in
   let pending_ids, pending_payload = encode_pending t in
   let* pending =
@@ -276,7 +280,7 @@ let checkpoint t =
       }
   in
   let old_gen = t.gen in
-  t.db <- hot;
+  if compacting then Provdb.expire t.db ~keep;
   t.gen <- gen;
   t.archives <- archives;
   t.frames_since_ckpt <- 0;

@@ -25,6 +25,30 @@ let put_list buf put xs =
   put_u32 buf (List.length xs);
   List.iter (put buf) xs
 
+(* Writers into a preallocated [Bytes.t], for encoders that size their
+   output first and fill it in one pass.  Each returns the offset just
+   past what it wrote; the byte layout matches the [put_*] writers. *)
+
+let set_u8 b off n =
+  if n < 0 || n > 0xff then invalid_arg "Wire.set_u8";
+  Bytes.set_uint8 b off n;
+  off + 1
+
+let set_u32 b off n =
+  if n < 0 || n > 0xffffffff then invalid_arg "Wire.set_u32";
+  Bytes.set_int32_le b off (Int32.of_int n);
+  off + 4
+
+let set_i64 b off n =
+  Bytes.set_int64_le b off (Int64.of_int n);
+  off + 8
+
+let set_string b off s =
+  let len = String.length s in
+  let off = set_u32 b off len in
+  Bytes.blit_string s 0 b off len;
+  off + len
+
 let get_u8 s pos =
   if !pos + 1 > String.length s then corrupt "truncated u8";
   let c = Char.code s.[!pos] in

@@ -16,6 +16,17 @@ val put_string : Buffer.t -> string -> unit
 val put_bool : Buffer.t -> bool -> unit
 val put_list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
 
+(** {2 Writers into preallocated bytes}
+
+    Same byte layout as the [put_*] writers, for encoders that compute
+    their size first and fill one [Bytes.t] of exactly that size.  Each
+    returns the offset just past what it wrote. *)
+
+val set_u8 : Bytes.t -> int -> int -> int
+val set_u32 : Bytes.t -> int -> int -> int
+val set_i64 : Bytes.t -> int -> int -> int
+val set_string : Bytes.t -> int -> string -> int
+
 val get_u8 : string -> int ref -> int
 val get_u32 : string -> int ref -> int
 val get_i64 : string -> int ref -> int

@@ -376,9 +376,9 @@ let prop_glob_star =
       QCheck2.assume (not (String.contains prefix '*' || String.contains prefix '?'));
       Pql_eval.glob_match (prefix ^ "*") (prefix ^ rest))
 
-(* Compaction moves out.gif's v0 — and with it the edge to kepler — below
+(* Expiry moves out.gif's v0 — and with it the edge to kepler — below
    the floor.  An ancestry query that crosses that boundary must fault the
-   cold tier back in transparently: same answer as the uncompacted db, and
+   cold tier back in transparently: same answer as the unexpired db, and
    the evaluator itself never knows an archive exists. *)
 let test_ancestry_across_archive_boundary () =
   let ancestry db =
@@ -391,19 +391,21 @@ let test_ancestry_across_archive_boundary () =
   let db, _, _, _, _, _ = sample_db () in
   let expect = ancestry db in
   (* without a fault handler the hot tier alone loses the ancestors *)
-  let blind, _ = Provdb.compact db ~keep:1 in
+  let blind, _, _, _, _, _ = sample_db () in
+  Provdb.expire blind ~keep:1;
   check tbool "query really crosses the floor" true
     (List.length (ancestry blind) < List.length expect);
   (* with one, the first below-floor access pulls the cold tier in *)
-  let hot, cold = Provdb.compact db ~keep:1 in
-  check tbool "compaction expired versions" true
-    (Provdb.quad_count hot < Provdb.quad_count db);
+  let quads = Provdb.quad_count db in
+  let cold = Provdb.deserialize (Provdb.serialize ~range:(Provdb.Cold 1) db) in
+  Provdb.expire db ~keep:1;
+  check tbool "compaction expired versions" true (Provdb.quad_count db < quads);
   let faulted = ref 0 in
-  Provdb.set_fault_handler hot (fun t ->
+  Provdb.set_fault_handler db (fun t ->
       incr faulted;
       Provdb.merge_into ~dst:t ~src:cold;
       true);
-  check tstrs "ancestry across the archive boundary" expect (ancestry hot);
+  check tstrs "ancestry across the archive boundary" expect (ancestry db);
   check tbool "the query faulted the cold tier in" true (!faulted > 0)
 
 (* --- planner (ISSUE 9) ----------------------------------------------------- *)

@@ -125,6 +125,39 @@ let prop_wire_garbage =
       | exception Wire.Corrupt _ -> true
       | _ -> !pos <= String.length s)
 
+(* Record sizes are computed, not encoded: [Record.encoded_size] must be
+   the length [Record.encode] appends, and [Record.write] must put the
+   same bytes, for every value constructor. *)
+let gen_record =
+  let open QCheck2.Gen in
+  let str = string_size (int_bound 24) in
+  let value =
+    oneof
+      [
+        map (fun s -> Pass_core.Pvalue.Str s) str;
+        map (fun n -> Pass_core.Pvalue.Int n) (map2 (fun a b -> if b then a else -a) big_nat bool);
+        map (fun b -> Pass_core.Pvalue.Bool b) bool;
+        map (fun s -> Pass_core.Pvalue.Bytes s) str;
+        map (fun l -> Pass_core.Pvalue.Strs l) (list_size (int_bound 6) str);
+        map2 (fun p v -> Pass_core.Pvalue.xref (Pass_core.Pnode.of_int p) v) big_nat small_nat;
+      ]
+  in
+  map2 Pass_core.Record.make str value
+
+let prop_record_size =
+  QCheck2.Test.make ~name:"record: encoded_size and write agree with encode" ~count:500
+    gen_record (fun r ->
+      let buf = Buffer.create 64 in
+      Pass_core.Record.encode buf r;
+      let size = Pass_core.Record.encoded_size r in
+      let b = Bytes.make (size + 2) '#' in
+      let stop = Pass_core.Record.write b 1 r in
+      size = Buffer.length buf
+      && stop = size + 1
+      && String.equal (Bytes.sub_string b 1 size) (Buffer.contents buf)
+      && Char.equal (Bytes.get b 0) '#'
+      && Char.equal (Bytes.get b (size + 1)) '#')
+
 (* --- path helpers ------------------------------------------------------------ *)
 
 let test_split_path () =
@@ -277,6 +310,7 @@ let qcheck_cases =
     (fun t -> QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t)
     [ prop_wire_roundtrip; prop_wire_truncation; prop_wire_garbage ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_ext3_matches_model; prop_ext3_replay_matches_model ]
+  @ [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) prop_record_size ]
 
 let suite =
   [
