@@ -30,19 +30,23 @@ let disclose_ ep h records =
 
 module J = Telemetry.Json
 
+(* A counter's registry-wide total; 0 when nothing registered the name. *)
+let count registry name = Option.value (Telemetry.counter_value registry name) ~default:0
+
 (* --- FIG 2: architecture self-check ---------------------------------------- *)
 
 let fig2 () =
   section "FIG2: PASSv2 architecture";
-  let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] () in
+  let registry = Telemetry.create () in
+  let sys = System.create ~registry ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] () in
   let stack = Option.get (Kernel.pass_stack (System.kernel sys)) in
   let volume = List.hd (System.volumes sys) in
   let checks =
     [
       ("libpass (user-level DPAPI)", System.app_endpoint sys ~pid:Kernel.init_pid <> None);
       ("interceptor (syscall hooks)", Kernel.pass_stack (System.kernel sys) <> None);
-      ("observer", (Pass_core.Observer.stats stack.Kernel.observer).events = 0);
-      ("analyzer", (Analyzer.stats stack.Kernel.analyzer).records_in = 0);
+      ("observer", count registry "observer.events" = 0);
+      ("analyzer", count registry "analyzer.records_in" = 0);
       ("distributor", Pass_core.Distributor.cached_object_count stack.Kernel.distributor = 0);
       ("lasagna (PA file system)", volume.System.v_lasagna <> None);
       ("waldo (log -> database daemon)", volume.System.v_waldo <> None);
@@ -102,14 +106,23 @@ let table2_and_3 ~scale =
 
 let fig1 () =
   section "FIG1: layered query across two NFS servers and a workstation";
-  let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "local" ] () in
+  let registry = Telemetry.create () in
+  let sys = System.create ~registry ~mode:System.Pass ~machine:1 ~volume_names:[ "local" ] () in
   let clock = System.clock sys in
   let ctx = Kernel.ctx (System.kernel sys) in
-  let server_a = Server.create ~mode:Server.Pass_enabled ~clock ~machine:21 ~volume:"nfsA" () in
-  let server_b = Server.create ~mode:Server.Pass_enabled ~clock ~machine:22 ~volume:"nfsB" () in
+  let server_a =
+    Server.create ~registry ~mode:Server.Pass_enabled ~clock ~machine:21 ~volume:"nfsA" ()
+  in
+  let server_b =
+    Server.create ~registry ~mode:Server.Pass_enabled ~clock ~machine:22 ~volume:"nfsB" ()
+  in
   let net = Proto.net clock in
-  let ca = Client.create ~net ~handler:(Server.handle server_a) ~ctx ~mount_name:"nfsA" () in
-  let cb = Client.create ~net ~handler:(Server.handle server_b) ~ctx ~mount_name:"nfsB" () in
+  let ca =
+    Client.create ~registry ~net ~handler:(Server.handle server_a) ~ctx ~mount_name:"nfsA" ()
+  in
+  let cb =
+    Client.create ~registry ~net ~handler:(Server.handle server_b) ~ctx ~mount_name:"nfsB" ()
+  in
   System.mount_external sys ~name:"nfsA" ~ops:(Client.ops ca) ~endpoint:(Client.endpoint ca)
     ~file_handle:(Client.file_handle ca)
     ~flush:(fun () -> Client.flush ca) ();
@@ -176,7 +189,8 @@ let ablation_cycles () =
   in
   (* PASSv2: the analyzer's local rule *)
   let ctx = Ctx.create ~machine:1 in
-  let an = Analyzer.create ~ctx ~lower:(null_endpoint ctx) () in
+  let registry = Telemetry.create () in
+  let an = Analyzer.create ~registry ~ctx ~lower:(null_endpoint ctx) () in
   let ep = Analyzer.endpoint an in
   let procs = Array.init 40 (fun _ -> Dpapi.handle (Ctx.fresh ctx)) in
   let files = Array.init 40 (fun _ -> Dpapi.handle ~volume:"v" (Ctx.fresh ctx)) in
@@ -190,7 +204,6 @@ let ablation_cycles () =
         disclose_ ep f [ Record.input_of p.pnode (Ctx.current_version ctx p.pnode) ])
     events;
   let v2_time = Sys.time () -. t0 in
-  let v2 = Analyzer.stats an in
   (* PASSv1: global graph + DFS + merge *)
   let cd = Cycle_detect.create () in
   let pnode i = Pass_core.Pnode.of_int (i + 1) in
@@ -204,7 +217,7 @@ let ablation_cycles () =
   Printf.printf "  %d read/write events over 40 processes x 40 files\n" n;
   Printf.printf
     "  PASSv2 cycle avoidance: %d freezes (extra versions), %d adoptions avoided a freeze, %.2f us/event\n"
-    v2.Analyzer.freezes v2.Analyzer.adoptions
+    (count registry "analyzer.freezes") (count registry "analyzer.adoptions")
     (v2_time *. 1e6 /. float_of_int n);
   Printf.printf "  PASSv1 global detection: %d merges, %d DFS probe steps, %.2f us/event\n"
     (Cycle_detect.merges cd) (Cycle_detect.probe_steps cd)
@@ -230,7 +243,7 @@ let ablation_dedup () =
             Ok (Ctx.current_version ctx h.pnode));
       }
     in
-    let an = Analyzer.create ~dedup ~ctx ~lower:counting () in
+    let an = Analyzer.create ~registry:(Telemetry.create ()) ~dedup ~ctx ~lower:counting () in
     let ep = Analyzer.endpoint an in
     let f = Dpapi.handle ~volume:"v" (Ctx.fresh ctx) in
     let p = Dpapi.handle (Ctx.fresh ctx) in
@@ -250,7 +263,10 @@ let ablation_dedup () =
 
 let ablation_wap () =
   section "ABLATION: WAP log vs PASSv1-style direct database writes";
-  let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] () in
+  let sys =
+    System.create ~registry:(Telemetry.create ()) ~mode:System.Pass ~machine:1
+      ~volume_names:[ "vol0" ] ()
+  in
   Kepler_wl.run sys ~parent:Kernel.init_pid;
   ignore (System.drain sys : int);
   let sp = System.space sys in
@@ -265,10 +281,15 @@ let ablation_wap () =
 let ablation_nfs_txn () =
   section "ABLATION: PA-NFS transaction encapsulation";
   let clock = Simdisk.Clock.create () in
-  let server = Server.create ~mode:Server.Pass_enabled ~clock ~machine:9 ~volume:"nfs0" () in
+  let registry = Telemetry.create () in
+  let server =
+    Server.create ~registry ~mode:Server.Pass_enabled ~clock ~machine:9 ~volume:"nfs0" ()
+  in
   let net = Proto.net clock in
   let ctx = Ctx.create ~machine:8 in
-  let client = Client.create ~net ~handler:(Server.handle server) ~ctx ~mount_name:"nfs0" () in
+  let client =
+    Client.create ~registry ~net ~handler:(Server.handle server) ~ctx ~mount_name:"nfs0" ()
+  in
   let ino =
     match Vfs.write_file (Client.ops client) "/big" "seed" with
     | Ok ino -> ino
@@ -327,15 +348,15 @@ let fault_bench () =
   section "FAULTS: disabled-path overhead + chaos counters";
   let disabled_ns = fault_workload ~registry:(Telemetry.create ()) ~fault:Fault.none in
   let quiet_ns =
-    fault_workload ~registry:(Telemetry.create ())
-      ~fault:(Fault.plan ~spec:Fault.quiet ~seed:1 ())
+    let registry = Telemetry.create () in
+    fault_workload ~registry ~fault:(Fault.plan ~registry ~spec:Fault.quiet ~seed:1 ())
   in
   let quiet_free = disabled_ns = quiet_ns in
   let seed = 11 in
   let chaos_registry = Telemetry.create () in
   let chaos = Fault.plan ~registry:chaos_registry ~spec:Fault.default_chaos ~seed () in
   let chaos_ns = fault_workload ~registry:chaos_registry ~fault:chaos in
-  let tv name = Option.value (Telemetry.counter_value chaos_registry name) ~default:0 in
+  let tv = count chaos_registry in
   let counter_names =
     [ "fault.injected.total"; "nfs.retries"; "nfs.drc.hits"; "nfs.drc.misses";
       "nfs.backpressure"; "nfs.txns_abandoned"; "lasagna.io_retries" ]
@@ -376,7 +397,7 @@ let trace_bench ~scale =
     List.find (fun w -> w.Runner.wl_name = "Postmark") (Runner.standard ~scale ())
   in
   let run tracer =
-    let sys, server = Runner.nfs_system ~tracer System.Pass in
+    let sys, server = Runner.nfs_system ~registry:(Telemetry.create ()) ~tracer System.Pass in
     w.Runner.run sys;
     ignore (System.drain sys : int);
     ignore (Server.drain server : int);
@@ -464,9 +485,9 @@ let monitor_bench ~scale =
     if Pvmon.enabled monitor then Pvmon.scrape monitor now;
     now
   in
-  (* fresh registry per run: the process-wide default accumulates
-     instrument instances from every earlier section, which would make
-     the byte-determinism comparison below depend on bench ordering *)
+  (* fresh registry per run: a shared one would accumulate instrument
+     instances from every earlier run, which would make the
+     byte-determinism comparison below depend on bench ordering *)
   let run_nfs monitor =
     let sys, server =
       Runner.nfs_system ~registry:(Telemetry.create ()) ~tracer:(Pvtrace.create ())
@@ -589,18 +610,19 @@ let recovery_bench ~scale =
   in
   let run ~rounds ~checkpointed =
     let clock = Simdisk.Clock.create () in
-    let disk = Simdisk.Disk.create ~clock () in
+    let registry = Telemetry.create () in
+    let disk = Simdisk.Disk.create ~registry ~clock () in
     let ext3 = Ext3.format disk in
     let ctx = Ctx.create ~machine:1 in
     let lasagna =
-      Lasagna.create ~log_max:2048 ~lower:(Ext3.ops ext3) ~ctx ~volume:"vol0"
+      Lasagna.create ~registry ~log_max:2048 ~lower:(Ext3.ops ext3) ~ctx ~volume:"vol0"
         ~charge:(Simdisk.Clock.advance clock) ()
     in
     (* the control retains every log but never checkpoints: restart is
        the original full-history replay *)
     let policy = if checkpointed then Waldo.Every_frames 64 else Waldo.Manual in
     let waldo =
-      Waldo.create ~policy
+      Waldo.create ~registry ~policy
         ?compact_keep:(if checkpointed then Some 2 else None)
         ~lower:(Ext3.ops ext3) ()
     in
@@ -632,7 +654,7 @@ let recovery_bench ~scale =
     let before_ns = Simdisk.Clock.now clock in
     let w2, info =
       okr "recover"
-        (Waldo.recover ~policy
+        (Waldo.recover ~registry:(Telemetry.create ()) ~policy
            ?compact_keep:(if checkpointed then Some 2 else None)
            ~lower:(Ext3.ops ext3) ())
     in
@@ -821,7 +843,7 @@ let microbench () =
   (* TABLE2's hot path: the analyzer processing one record *)
   let bench_analyzer =
     let ctx = Ctx.create ~machine:1 in
-    let an = Analyzer.create ~ctx ~lower:(null_endpoint ctx) () in
+    let an = Analyzer.create ~registry:(Telemetry.create ()) ~ctx ~lower:(null_endpoint ctx) () in
     let ep = Analyzer.endpoint an in
     let f = Dpapi.handle ~volume:"v" (Ctx.fresh ctx) in
     let p = Dpapi.handle (Ctx.fresh ctx) in
@@ -845,7 +867,10 @@ let microbench () =
   in
   (* FIG1's hot path: the paper's PQL query over a challenge run *)
   let bench_pql =
-    let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] () in
+    let sys =
+      System.create ~registry:(Telemetry.create ()) ~mode:System.Pass ~machine:1
+        ~volume_names:[ "vol0" ] ()
+    in
     let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
     let io = Kepler_run.io_of_system sys ~pid in
     Challenge.prepare_inputs ~input_dir:"/vol0/in" io;
@@ -897,51 +922,6 @@ let microbench () =
 
 (* --- machine-readable results ------------------------------------------------ *)
 
-(* Cross-check the telemetry registry against the legacy per-module stats
-   views on a fresh PA-Kepler run: CI fails the bench-smoke job when the
-   two disagree or when the pipeline did no work at all. *)
-let self_check () =
-  section "SELF-CHECK: telemetry vs legacy stats views";
-  let registry = Telemetry.create () in
-  let sys =
-    System.create ~registry ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] ()
-  in
-  Kepler_wl.run sys ~parent:Kernel.init_pid;
-  ignore (System.drain sys : int);
-  let stack = Option.get (Kernel.pass_stack (System.kernel sys)) in
-  let an = Analyzer.stats stack.Kernel.analyzer in
-  let vol = List.hd (System.volumes sys) in
-  let las = Lasagna.stats (Option.get vol.System.v_lasagna) in
-  let tv name = Option.value (Telemetry.counter_value registry name) ~default:(-1) in
-  let pairs =
-    [
-      ("analyzer.records_in", tv "analyzer.records_in", an.Analyzer.records_in);
-      ("analyzer.records_out", tv "analyzer.records_out", an.Analyzer.records_out);
-      ( "analyzer.duplicates_dropped",
-        tv "analyzer.duplicates_dropped",
-        an.Analyzer.duplicates_dropped );
-      ("wap.frames_written", tv "wap.frames_written", las.Lasagna.frames_logged);
-      ("wap.bytes_written", tv "wap.bytes_written", las.Lasagna.prov_bytes_logged);
-    ]
-  in
-  let ok =
-    List.for_all (fun (_, t, l) -> t = l) pairs
-    && an.Analyzer.records_in > 0
-    && las.Lasagna.frames_logged > 0
-  in
-  List.iter
-    (fun (name, t, l) ->
-      Printf.printf "  %-30s telemetry %8d  legacy %8d  %s\n" name t l
-        (if t = l then "ok" else "MISMATCH"))
-    pairs;
-  Printf.printf "  self-check: %s\n" (if ok then "ok" else "FAILED");
-  let counters =
-    J.Obj
-      (List.map (fun (name, t, l) -> (name, J.Obj [ ("telemetry", J.Int t); ("legacy", J.Int l) ]))
-         pairs)
-  in
-  (ok, J.Obj [ ("ok", J.Bool ok); ("counters", counters) ])
-
 (* --- HOST: the simulator's own allocation ------------------------------------ *)
 
 (* Words allocated on the host (minor + major - promoted).  The minor heap
@@ -959,12 +939,15 @@ let host_words () =
    kept hot. *)
 let checkpoint_words () =
   let clock = Simdisk.Clock.create () in
-  let ext3 = Ext3.format (Simdisk.Disk.create ~registry:(Telemetry.create ()) ~clock ()) in
+  let registry = Telemetry.create () in
+  let ext3 = Ext3.format (Simdisk.Disk.create ~registry ~clock ()) in
   let lasagna =
-    Lasagna.create ~log_max:65536 ~lower:(Ext3.ops ext3) ~ctx:(Ctx.create ~machine:1)
+    Lasagna.create ~registry ~log_max:65536 ~lower:(Ext3.ops ext3) ~ctx:(Ctx.create ~machine:1)
       ~volume:"vol0" ~charge:(Simdisk.Clock.advance clock) ()
   in
-  let waldo = Waldo.create ~policy:Waldo.Manual ~compact_keep:2 ~lower:(Ext3.ops ext3) () in
+  let waldo =
+    Waldo.create ~registry ~policy:Waldo.Manual ~compact_keep:2 ~lower:(Ext3.ops ext3) ()
+  in
   Waldo.attach waldo lasagna;
   let ep = Lasagna.endpoint lasagna in
   let objs = Array.make 64 (Dpapi.handle (Pass_core.Pnode.of_int 0)) in
@@ -996,7 +979,7 @@ let checkpoint_words () =
 
 (* Allocated words per Table 2 run for the workloads whose host cost the
    substrate dominates.  Reported, not gated: allocation differs across
-   compilers, so pins wait for the generic benchdiff pin list.  Each run
+   compilers, so benchdiff carries no pin for it.  Each run
    gets a fresh registry, so nothing here reaches another section's
    artifacts. *)
 let host_bench ~scale =
@@ -1043,8 +1026,8 @@ let host_bench ~scale =
 
 let results_file = "BENCH_results.json"
 
-let write_results ~scale ~registry ~local ~nfs ~space ~self_check ~faults ~trace ~monitor
-    ~recovery ~query ~micro ~host =
+let write_results ~scale ~registry ~local ~nfs ~space ~faults ~trace ~monitor ~recovery ~query
+    ~micro ~host =
   let row_json (r : Runner.row) =
     J.Obj
       [
@@ -1088,7 +1071,6 @@ let write_results ~scale ~registry ~local ~nfs ~space ~self_check ~faults ~trace
         ("schema", J.Str "pass-bench/v1");
         ("scale", J.Float scale);
         ("workloads", J.List workloads);
-        ("self_check", self_check);
         ("faults", faults);
         ("trace", trace);
         ("monitor", monitor);
@@ -1124,9 +1106,8 @@ let () =
   let recovery_ok, recovery = recovery_bench ~scale in
   let query_ok, query = query_bench ~scale in
   let micro = microbench () in
-  let check_ok, self_check = self_check () in
   let host = host_bench ~scale in
-  write_results ~scale ~registry ~local ~nfs ~space ~self_check ~faults ~trace ~monitor
-    ~recovery ~query ~micro ~host;
+  write_results ~scale ~registry ~local ~nfs ~space ~faults ~trace ~monitor ~recovery ~query ~micro
+      ~host;
   Printf.printf "\ndone.\n";
-  if not (check_ok && faults_ok && trace_ok && monitor_ok && recovery_ok && query_ok) then exit 1
+  if not (faults_ok && trace_ok && monitor_ok && recovery_ok && query_ok) then exit 1

@@ -21,7 +21,10 @@ let ok = function Ok v -> v | Error e -> failwith (Vfs.errno_to_string e)
 
 (* A canned local challenge run whose database queries operate on. *)
 let canned_db () =
-  let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] () in
+  let sys =
+    System.create ~registry:(Telemetry.create ()) ~mode:System.Pass ~machine:1
+      ~volume_names:[ "vol0" ] ()
+  in
   let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
   let io = Kepler_run.io_of_system sys ~pid in
   Challenge.prepare_inputs ~input_dir:"/vol0/inputs" io;
@@ -35,14 +38,23 @@ let canned_db () =
 (* --- commands ----------------------------------------------------------------- *)
 
 let cmd_demo () =
-  let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "local" ] () in
+  let registry = Telemetry.create () in
+  let sys = System.create ~registry ~mode:System.Pass ~machine:1 ~volume_names:[ "local" ] () in
   let clock = System.clock sys in
   let ctx = Kernel.ctx (System.kernel sys) in
-  let server_a = Server.create ~mode:Server.Pass_enabled ~clock ~machine:21 ~volume:"nfsA" () in
-  let server_b = Server.create ~mode:Server.Pass_enabled ~clock ~machine:22 ~volume:"nfsB" () in
+  let server_a =
+    Server.create ~registry ~mode:Server.Pass_enabled ~clock ~machine:21 ~volume:"nfsA" ()
+  in
+  let server_b =
+    Server.create ~registry ~mode:Server.Pass_enabled ~clock ~machine:22 ~volume:"nfsB" ()
+  in
   let net = Proto.net clock in
-  let ca = Client.create ~net ~handler:(Server.handle server_a) ~ctx ~mount_name:"nfsA" () in
-  let cb = Client.create ~net ~handler:(Server.handle server_b) ~ctx ~mount_name:"nfsB" () in
+  let ca =
+    Client.create ~registry ~net ~handler:(Server.handle server_a) ~ctx ~mount_name:"nfsA" ()
+  in
+  let cb =
+    Client.create ~registry ~net ~handler:(Server.handle server_b) ~ctx ~mount_name:"nfsB" ()
+  in
   System.mount_external sys ~name:"nfsA" ~ops:(Client.ops ca) ~endpoint:(Client.endpoint ca)
     ~file_handle:(Client.file_handle ca)
     ~flush:(fun () -> Client.flush ca) ();
@@ -129,21 +141,24 @@ let cmd_workload name mode =
   | Some w -> (
       match mode with
       | `Both ->
-          let row = Runner.measure_local w in
+          let row = Runner.measure_local ~registry:(Telemetry.create ()) w in
           Printf.printf "%s: ext3 %.2fs, PASSv2 %.2fs, overhead %.1f%%\n" row.Runner.r_name
             row.base_seconds row.pass_seconds row.overhead_pct;
           let sp = Runner.measure_space w in
           Printf.printf "space: data %.1f MB, provenance %.2f MB (%.1f%%), +indexes %.2f MB (%.1f%%)\n"
             sp.Runner.ext3_mb sp.prov_mb sp.prov_pct sp.total_mb sp.total_pct
       | `Nfs ->
-          let row = Runner.measure_nfs w in
+          let row = Runner.measure_nfs ~registry:(Telemetry.create ()) w in
           Printf.printf "%s: NFS %.2fs, PA-NFS %.2fs, overhead %.1f%%\n" row.Runner.r_name
             row.base_seconds row.pass_seconds row.overhead_pct)
 
 (* A canned two-run scenario for the diff command: the challenge workflow
    run twice with one input modified in between (§3.1). *)
 let cmd_diff () =
-  let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] () in
+  let sys =
+    System.create ~registry:(Telemetry.create ()) ~mode:System.Pass ~machine:1
+      ~volume_names:[ "vol0" ] ()
+  in
   let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
   let io = Kepler_run.io_of_system sys ~pid in
   Challenge.prepare_inputs ~input_dir:"/vol0/inputs" io;
@@ -180,12 +195,13 @@ let cmd_opm () =
 (* Build a canned crashed volume (named [volume]), then run Recovery.scan
    over its remounted lower file system and print the report. *)
 let cmd_recover volume json =
+  let registry = Telemetry.create () in
   let clock = Clock.create () in
-  let disk = Disk.create ~clock () in
+  let disk = Disk.create ~registry ~clock () in
   let ext3 = Ext3.format disk in
   let ctx = Ctx.create ~machine:1 in
   let lasagna =
-    Lasagna.create ~lower:(Ext3.ops ext3) ~ctx ~volume ~charge:(Clock.advance clock) ()
+    Lasagna.create ~registry ~lower:(Ext3.ops ext3) ~ctx ~volume ~charge:(Clock.advance clock) ()
   in
   let ops = Lasagna.ops lasagna in
   let ep = Lasagna.endpoint lasagna in
@@ -200,7 +216,7 @@ let cmd_recover volume json =
   | _ -> if not json then print_endline "unexpected");
   Disk.revive disk;
   let remounted = Ext3.mount disk in
-  let report = ok (Recovery.scan (Ext3.ops remounted)) in
+  let report = ok (Recovery.scan ~registry (Ext3.ops remounted)) in
   if json then
     print_endline
       (Telemetry.Json.to_string
@@ -223,15 +239,16 @@ let cmd_recover volume json =
    post-checkpoint suffix, crash the disk, and recover from the MANIFEST —
    printing what bounded recovery actually did (DESIGN §13). *)
 let cmd_checkpoint volume json =
+  let registry = Telemetry.create () in
   let clock = Clock.create () in
-  let disk = Disk.create ~clock () in
+  let disk = Disk.create ~registry ~clock () in
   let ext3 = Ext3.format disk in
   let lower = Ext3.ops ext3 in
   let ctx = Ctx.create ~machine:1 in
   let lasagna =
-    Lasagna.create ~log_max:2048 ~lower ~ctx ~volume ~charge:(Clock.advance clock) ()
+    Lasagna.create ~registry ~log_max:2048 ~lower ~ctx ~volume ~charge:(Clock.advance clock) ()
   in
-  let waldo = Waldo.create ~policy:Waldo.Manual ~compact_keep:1 ~lower () in
+  let waldo = Waldo.create ~registry ~policy:Waldo.Manual ~compact_keep:1 ~lower () in
   Waldo.attach waldo lasagna;
   let ops = Lasagna.ops lasagna in
   let ep = Lasagna.endpoint lasagna in
@@ -276,7 +293,7 @@ let cmd_checkpoint volume json =
   Disk.revive disk;
   let remounted = Ext3.mount disk in
   let _w, (info : Waldo.recovery_info) =
-    ok (Waldo.recover ~lower:(Ext3.ops remounted) ())
+    ok (Waldo.recover ~registry ~lower:(Ext3.ops remounted) ())
   in
   if json then
     print_endline
@@ -310,6 +327,7 @@ let cmd_checkpoint volume json =
    cross-check orphans against Recovery).  With --corrupt CLASS: seed one
    corruption into a canned graph and show the verifier flagging it. *)
 let cmd_fsck volume json corrupt =
+  let registry = Telemetry.create () in
   let print_report report =
     if json then
       print_endline (Telemetry.Json.to_string (Pvcheck.report_to_json report))
@@ -328,15 +346,17 @@ let cmd_fsck volume json corrupt =
             let db = canned_db () in
             let desc = Pvmutate.inject db clazz in
             if not json then Printf.printf "seeded: %s\n" desc;
-            print_report (Pvcheck.check_db ~volume db))
+            print_report (Pvcheck.check_db ~registry ~volume db))
     | None ->
         let clock = Clock.create () in
-        let disk = Disk.create ~clock () in
+        let disk = Disk.create ~registry ~clock () in
         let ext3 = Ext3.format disk in
         let lower = Ext3.ops ext3 in
         let ctx = Ctx.create ~machine:1 in
-        let lasagna = Lasagna.create ~lower ~ctx ~volume ~charge:(Clock.advance clock) () in
-        let waldo = Waldo.create ~lower () in
+        let lasagna =
+          Lasagna.create ~registry ~lower ~ctx ~volume ~charge:(Clock.advance clock) ()
+        in
+        let waldo = Waldo.create ~registry ~lower () in
         Waldo.attach waldo lasagna;
         let ops = Lasagna.ops lasagna in
         let ep = Lasagna.endpoint lasagna in
@@ -359,7 +379,7 @@ let cmd_fsck volume json corrupt =
          with
         | Ok _ -> ()
         | Error e -> failwith (Dpapi.error_to_string e));
-        print_report (ok (Pvcheck.fsck ~lower ~volume ()))
+        print_report (ok (Pvcheck.fsck ~registry ~lower ~volume ()))
   in
   exit status
 
@@ -481,13 +501,13 @@ let cmd_trace name nfs json filter =
   | Some w ->
       let tracer = Pvtrace.create () in
       if nfs then begin
-        let sys, server = Runner.nfs_system ~tracer System.Pass in
+        let sys, server = Runner.nfs_system ~registry:(Telemetry.create ()) ~tracer System.Pass in
         w.Runner.run sys;
         ignore (System.drain sys : int);
         ignore (Server.drain server : int)
       end
       else begin
-        let sys = Runner.local_system ~tracer System.Pass in
+        let sys = Runner.local_system ~registry:(Telemetry.create ()) ~tracer System.Pass in
         w.Runner.run sys;
         ignore (System.drain sys : int)
       end;

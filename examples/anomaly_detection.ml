@@ -18,15 +18,25 @@ let pql_names db q = Pql.names_of_rows db Pql.Engine.(execute (prepare db q))
 
 let () =
   print_endline "== §3.1: finding the source of an anomaly ==\n";
-  (* the Figure 1 topology: workstation + two PA-NFS servers *)
-  let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "local" ] () in
+  (* the Figure 1 topology: workstation + two PA-NFS servers, all
+     reporting into one telemetry registry *)
+  let registry = Telemetry.create () in
+  let sys = System.create ~registry ~mode:System.Pass ~machine:1 ~volume_names:[ "local" ] () in
   let clock = System.clock sys in
   let ctx = Kernel.ctx (System.kernel sys) in
-  let server_a = Server.create ~mode:Server.Pass_enabled ~clock ~machine:21 ~volume:"nfsA" () in
-  let server_b = Server.create ~mode:Server.Pass_enabled ~clock ~machine:22 ~volume:"nfsB" () in
+  let server_a =
+    Server.create ~registry ~mode:Server.Pass_enabled ~clock ~machine:21 ~volume:"nfsA" ()
+  in
+  let server_b =
+    Server.create ~registry ~mode:Server.Pass_enabled ~clock ~machine:22 ~volume:"nfsB" ()
+  in
   let net = Proto.net clock in
-  let ca = Client.create ~net ~handler:(Server.handle server_a) ~ctx ~mount_name:"nfsA" () in
-  let cb = Client.create ~net ~handler:(Server.handle server_b) ~ctx ~mount_name:"nfsB" () in
+  let ca =
+    Client.create ~registry ~net ~handler:(Server.handle server_a) ~ctx ~mount_name:"nfsA" ()
+  in
+  let cb =
+    Client.create ~registry ~net ~handler:(Server.handle server_b) ~ctx ~mount_name:"nfsB" ()
+  in
   System.mount_external sys ~name:"nfsA" ~ops:(Client.ops ca) ~endpoint:(Client.endpoint ca)
     ~file_handle:(Client.file_handle ca)
     ~flush:(fun () -> Client.flush ca) ();

@@ -27,11 +27,13 @@ let () =
   (* ----- part 1: write-ahead provenance survives a disk crash ---------- *)
   print_endline "--- part 1: WAP recovery on a local volume ---";
   let clock = Clock.create () in
-  let disk = Disk.create ~clock () in
+  let registry = Telemetry.create () in
+  let disk = Disk.create ~registry ~clock () in
   let ext3 = Ext3.format disk in
   let ctx = Ctx.create ~machine:1 in
   let lasagna =
-    Lasagna.create ~lower:(Ext3.ops ext3) ~ctx ~volume:"vol0" ~charge:(Clock.advance clock) ()
+    Lasagna.create ~registry ~lower:(Ext3.ops ext3) ~ctx ~volume:"vol0"
+      ~charge:(Clock.advance clock) ()
   in
   let ops = Lasagna.ops lasagna in
   let ep = Lasagna.endpoint lasagna in
@@ -55,7 +57,7 @@ let () =
   (* power back on: remount and run recovery *)
   Disk.revive disk;
   let remounted = Ext3.mount disk in
-  let report = ok (Recovery.scan (Ext3.ops remounted)) in
+  let report = ok (Recovery.scan ~registry (Ext3.ops remounted)) in
   Printf.printf "recovery: scanned %d logs, %d frames, %d data identities checked\n"
     report.Recovery.logs_scanned report.frames_ok report.data_checked;
   List.iter
@@ -72,10 +74,15 @@ let () =
   (* ----- part 2: orphaned PA-NFS transactions --------------------------- *)
   print_endline "--- part 2: a client crash mid-transaction ---";
   let clock = Clock.create () in
-  let server = Server.create ~mode:Server.Pass_enabled ~clock ~machine:2 ~volume:"nfs0" () in
+  let registry = Telemetry.create () in
+  let server =
+    Server.create ~registry ~mode:Server.Pass_enabled ~clock ~machine:2 ~volume:"nfs0" ()
+  in
   let net = Proto.net clock in
   let cctx = Ctx.create ~machine:3 in
-  let client = Client.create ~net ~handler:(Server.handle server) ~ctx:cctx ~mount_name:"nfs0" () in
+  let client =
+    Client.create ~registry ~net ~handler:(Server.handle server) ~ctx:cctx ~mount_name:"nfs0" ()
+  in
   let ino = ok (Vfs.write_file (Client.ops client) "/results.dat" "committed-base") in
   let h = ok (Client.file_handle client ino) in
   (* the client begins a transaction for a large provenance write... *)

@@ -34,7 +34,10 @@ let () =
 
   (* 1. boot a machine with one PASS volume (Lasagna over ext3, Waldo
         attached, observer/analyzer/distributor in the kernel) *)
-  let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] () in
+  let sys =
+    System.create ~registry:(Telemetry.create ()) ~mode:System.Pass ~machine:1
+      ~volume_names:[ "vol0" ] ()
+  in
   let k = System.kernel sys in
   print_endline "1. booted: PASS volume vol0 mounted";
 

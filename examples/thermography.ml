@@ -16,7 +16,10 @@ let pql_names db q = Pql.names_of_rows db Pql.Engine.(execute (prepare db q))
 
 let () =
   print_endline "== §3.3: provenance-aware Python ==\n";
-  let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] () in
+  let sys =
+    System.create ~registry:(Telemetry.create ()) ~mode:System.Pass ~machine:1
+      ~volume_names:[ "vol0" ] ()
+  in
   let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
 
   (* ~400 experiments on 60 specimens, stored as XML by the acquisition

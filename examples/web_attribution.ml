@@ -20,7 +20,10 @@ let ok = function Ok v -> v | Error e -> failwith (Vfs.errno_to_string e)
 
 let () =
   print_endline "== §3.2: provenance-aware browsing ==\n";
-  let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] () in
+  let sys =
+    System.create ~registry:(Telemetry.create ()) ~mode:System.Pass ~machine:1
+      ~volume_names:[ "vol0" ] ()
+  in
   let k = System.kernel sys in
   let web = Web.synthetic ~sites:4 ~pages_per_site:6 () in
   let pid = Kernel.fork k ~parent:Kernel.init_pid in

@@ -341,7 +341,7 @@ let pass_names =
   [ "acyclicity"; "version-chain"; "ancestor-closure"; "dedup-idempotence";
     "xlayer-refs"; "orphan-agreement" ]
 
-let check_db ?registry ?(volume = "local") ?recovery_orphans ?waldo_orphans db =
+let check_db ~registry ?(volume = "local") ?recovery_orphans ?waldo_orphans db =
   let graph =
     pass_acyclicity db @ pass_version_chain db @ pass_closure db
     @ pass_dedup db @ pass_xlayer db
@@ -352,8 +352,8 @@ let check_db ?registry ?(volume = "local") ?recovery_orphans ?waldo_orphans db =
     | _ -> (false, [])
   in
   let findings = graph @ orphan in
-  Telemetry.incr (Telemetry.counter ?registry "pvcheck.runs");
-  Telemetry.add (Telemetry.counter ?registry "pvcheck.findings")
+  Telemetry.incr (Telemetry.counter ~registry "pvcheck.runs");
+  Telemetry.add (Telemetry.counter ~registry "pvcheck.findings")
     (List.length findings);
   let passes =
     List.filter
@@ -399,11 +399,11 @@ let remaining_logs lower =
         (List.map snd
            (List.sort (fun (a, _) (b, _) -> Int.compare a b) logs))
 
-let fsck ?registry ?(waldo_dir = "/.waldo") ~lower ~volume () =
+let fsck ~registry ?(waldo_dir = "/.waldo") ~lower ~volume () =
   (* a volume that never saw a provenance-aware mount has no /.pass; its
      (empty) graph trivially verifies, with no orphans on either side *)
   let* recovery_orphans =
-    match Recovery.scan ?registry ~waldo_dir lower with
+    match Recovery.scan ~registry ~waldo_dir lower with
     | Ok scan -> Ok scan.Recovery.open_txns
     | Error Vfs.ENOENT -> Ok []
     | Error e -> Error e
@@ -416,16 +416,16 @@ let fsck ?registry ?(waldo_dir = "/.waldo") ~lower ~volume () =
            transactions from the sidecar, replay the post-watermark log
            suffix — exactly the production restart path — then pull the
            cold-tier archive in so the checks see the full graph *)
-        let* w, _info = Waldo.recover ?registry ~dir:waldo_dir ~lower () in
+        let* w, _info = Waldo.recover ~registry ~dir:waldo_dir ~lower () in
         Waldo.fault_in_archive w;
         Ok w
     | None ->
         (* no checkpoint: load the stand-alone image if any, then replay
            every remaining log *)
         let* w =
-          match Waldo.load ?registry ~lower ~dir:waldo_dir () with
+          match Waldo.load ~registry ~lower ~dir:waldo_dir () with
           | Ok w -> Ok w
-          | Error Vfs.ENOENT -> Ok (Waldo.create ?registry ~lower ())
+          | Error Vfs.ENOENT -> Ok (Waldo.create ~registry ~lower ())
           | Error e -> Error e
         in
         let* names = remaining_logs lower in
@@ -442,7 +442,7 @@ let fsck ?registry ?(waldo_dir = "/.waldo") ~lower ~volume () =
         Ok w
   in
   Ok
-    (check_db ?registry ~volume ~recovery_orphans
+    (check_db ~registry ~volume ~recovery_orphans
        ~waldo_orphans:(Waldo.pending_txns w) (Waldo.db w))
 
 (* --- output ----------------------------------------------------------------- *)

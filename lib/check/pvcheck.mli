@@ -37,26 +37,26 @@ val clean : report -> bool
 (** No findings. *)
 
 val check_db :
-  ?registry:Telemetry.registry ->
+  registry:Telemetry.registry ->
   ?volume:string ->
   ?recovery_orphans:int list ->
   ?waldo_orphans:int list ->
   Provdb.t ->
   report
-(** [check_db db] runs the graph passes over [db].  The orphan-agreement
-    pass runs only when both [recovery_orphans] (from
+(** [check_db ~registry db] runs the graph passes over [db].  The
+    orphan-agreement pass runs only when both [recovery_orphans] (from
     {!Recovery.scan}'s [open_txns]) and [waldo_orphans] (from
     {!Waldo.pending_txns}) are supplied.  Publishes [pvcheck.runs] and
     [pvcheck.findings] counters into [registry]. *)
 
 val fsck :
-  ?registry:Telemetry.registry ->
+  registry:Telemetry.registry ->
   ?waldo_dir:string ->
   lower:Vfs.ops ->
   volume:string ->
   unit ->
   (report, Vfs.errno) result
-(** [fsck ~lower ~volume ()] is the offline entry point: load the
+(** [fsck ~registry ~lower ~volume ()] is the offline entry point: load the
     persisted database from [waldo_dir]/db.dat (default [/.waldo]; an
     absent image means an empty database), replay any WAP logs still in
     [/.pass] through the production ingest path, and run every pass —

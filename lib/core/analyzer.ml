@@ -21,30 +21,19 @@
    in birth time, so the graph is acyclic by construction.  The check
    compares exactly two integers, preserving the paper's locality claim. *)
 
-type stats = {
-  mutable records_in : int;
-  mutable records_out : int;
-  mutable duplicates_dropped : int;
-  mutable freezes : int;
-  mutable writes_elided : int; (* pass_writes fully absorbed by dedup *)
-  mutable dedup_evictions : int; (* epoch resets of the bounded seen-table *)
-  mutable adoptions : int; (* childless-target births lowered instead of freezing *)
-}
-
-(* Named instruments in the telemetry registry; the [stats] record is now a
-   view built on demand, so existing callers keep working. *)
+(* Named instruments in the telemetry registry. *)
 type instruments = {
   records_in : Telemetry.counter;
   records_out : Telemetry.counter;
   duplicates_dropped : Telemetry.counter;
   freezes : Telemetry.counter;
-  writes_elided : Telemetry.counter;
-  dedup_evictions : Telemetry.counter;
-  adoptions : Telemetry.counter;
+  writes_elided : Telemetry.counter; (* pass_writes fully absorbed by dedup *)
+  dedup_evictions : Telemetry.counter; (* epoch resets of the bounded seen-table *)
+  adoptions : Telemetry.counter; (* childless-target births lowered instead of freezing *)
 }
 
 let instruments registry =
-  let c name = Telemetry.counter ?registry ("analyzer." ^ name) in
+  let c name = Telemetry.counter ~registry ("analyzer." ^ name) in
   {
     records_in = c "records_in";
     records_out = c "records_out";
@@ -71,22 +60,10 @@ type t = {
 let cost_per_record = 180
 let cost_per_freeze = 450
 
-let create ?registry ?(charge = fun _ -> ()) ?(dedup = true) ?(dedup_capacity = 1 lsl 18)
+let create ~registry ?(charge = fun _ -> ()) ?(dedup = true) ?(dedup_capacity = 1 lsl 18)
     ?(tracer = Pvtrace.disabled) ~ctx ~lower () =
   { ctx; lower; seen = Hashtbl.create 4096; dedup_capacity; i = instruments registry; charge;
     dedup_enabled = dedup; tracer }
-
-let stats t : stats =
-  let v = Telemetry.value in
-  {
-    records_in = v t.i.records_in;
-    records_out = v t.i.records_out;
-    duplicates_dropped = v t.i.duplicates_dropped;
-    freezes = v t.i.freezes;
-    writes_elided = v t.i.writes_elided;
-    dedup_evictions = v t.i.dedup_evictions;
-    adoptions = v t.i.adoptions;
-  }
 
 let duplicate t pnode version record =
   Hashtbl.mem t.seen (pnode, version, record)

@@ -11,18 +11,8 @@
 
 type t
 
-type stats = {
-  mutable records_in : int;
-  mutable records_out : int;
-  mutable duplicates_dropped : int;
-  mutable freezes : int;
-  mutable writes_elided : int;
-  mutable dedup_evictions : int;
-  mutable adoptions : int;
-}
-
 val create :
-  ?registry:Telemetry.registry ->
+  registry:Telemetry.registry ->
   ?charge:(int -> unit) ->
   ?dedup:bool ->
   ?dedup_capacity:int ->
@@ -31,18 +21,15 @@ val create :
   lower:Dpapi.endpoint ->
   unit ->
   t
-(** [create ~ctx ~lower ()] builds an analyzer stage above [lower].
-    [registry] receives the [analyzer.*] instruments (default
-    {!Telemetry.default}); [charge] receives simulated CPU nanoseconds as
-    work is performed; [dedup] (default true) can be disabled for the
-    ablation benchmark; [dedup_capacity] bounds the duplicate-detection
-    table (epoch reset when full — duplicates may then be re-admitted,
-    first occurrences are never lost); [tracer] (default
-    {!Pvtrace.disabled}) records deduped / cycle-broken / adopted events
-    and marks fully-absorbed writes "elided". *)
+(** [create ~registry ~ctx ~lower ()] builds an analyzer stage above [lower].
+    [registry] receives the [analyzer.*] instruments; [charge] receives
+    simulated CPU nanoseconds as work is performed; [dedup] (default true) can
+    be disabled for the ablation benchmark; [dedup_capacity] bounds the
+    duplicate-detection table (epoch reset when full — duplicates may then be
+    re-admitted, first occurrences are never lost); [tracer] (default
+    {!Pvtrace.disabled}) records deduped / cycle-broken / adopted events and
+    marks fully-absorbed writes "elided". *)
 
 val endpoint : t -> Dpapi.endpoint
 (** The DPAPI face of this analyzer, to be handed to the layer above. *)
 
-val stats : t -> stats
-(** A point-in-time view over the [analyzer.*] telemetry instruments. *)

@@ -17,13 +17,6 @@ type ventry = {
   mutable assigned : string option; (* volume once anchored/flushed *)
 }
 
-type stats = {
-  mutable cached_records : int;
-  mutable flushes : int;
-  mutable flushed_records : int;
-}
-
-(* Registry-backed instruments; [stats] is a view built on demand. *)
 type instruments = {
   cached_records : Telemetry.counter;
   flushes : Telemetry.counter;
@@ -39,7 +32,7 @@ type t = {
   i : instruments;
 }
 
-let create ?registry ?(tracer = Pvtrace.disabled) ~ctx ~lower ~default_volume () =
+let create ~registry ?(tracer = Pvtrace.disabled) ~ctx ~lower ~default_volume () =
   {
     ctx;
     lower;
@@ -48,18 +41,12 @@ let create ?registry ?(tracer = Pvtrace.disabled) ~ctx ~lower ~default_volume ()
     tracer;
     i =
       {
-        cached_records = Telemetry.counter ?registry "distributor.cached_records";
-        flushes = Telemetry.counter ?registry "distributor.flushes";
-        flushed_records = Telemetry.counter ?registry "distributor.flushed_records";
+        cached_records = Telemetry.counter ~registry "distributor.cached_records";
+        flushes = Telemetry.counter ~registry "distributor.flushes";
+        flushed_records = Telemetry.counter ~registry "distributor.flushed_records";
       };
   }
 
-let stats t : stats =
-  {
-    cached_records = Telemetry.value t.i.cached_records;
-    flushes = Telemetry.value t.i.flushes;
-    flushed_records = Telemetry.value t.i.flushed_records;
-  }
 let cached_object_count t = Hashtbl.length t.cache
 
 let is_cached_unflushed t pnode =

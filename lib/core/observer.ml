@@ -16,12 +16,6 @@ exception Lower_error of string
 
 type proc = { handle : Dpapi.handle; mutable alive : bool }
 
-type stats = {
-  mutable events : int;
-  mutable records_emitted : int;
-}
-
-(* Registry-backed instruments; [stats] is a view built on demand. *)
 type instruments = {
   events : Telemetry.counter;
   records_emitted : Telemetry.counter;
@@ -39,15 +33,12 @@ type t = {
   i : instruments;
 }
 
-let create ?registry ?(tracer = Pvtrace.disabled) ?(batch = true) ~ctx ~lower () =
+let create ~registry ?(tracer = Pvtrace.disabled) ?(batch = true) ~ctx ~lower () =
   { ctx; lower; procs = Hashtbl.create 64; pipes = Hashtbl.create 16; tracer;
     batch; pending = []; pending_entries = 0;
-    i = { events = Telemetry.counter ?registry "observer.events";
-          records_emitted = Telemetry.counter ?registry "observer.records_emitted" } }
+    i = { events = Telemetry.counter ~registry "observer.events";
+          records_emitted = Telemetry.counter ~registry "observer.records_emitted" } }
 
-let stats t : stats =
-  { events = Telemetry.value t.i.events;
-    records_emitted = Telemetry.value t.i.records_emitted }
 let ( let* ) = Result.bind
 
 (* --- syscall-burst batching --------------------------------------------- *)

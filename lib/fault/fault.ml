@@ -84,7 +84,7 @@ type instruments = {
 }
 
 let instruments registry =
-  let c name = Telemetry.counter ?registry ("fault.injected." ^ name) in
+  let c name = Telemetry.counter ~registry ("fault.injected." ^ name) in
   {
     total = c "total";
     drop_request = c "drop_request";
@@ -119,7 +119,7 @@ let none =
     events = []; injected = 0; i = None;
   }
 
-let plan ?registry ?(spec = default_chaos) ~seed () =
+let plan ~registry ?(spec = default_chaos) ~seed () =
   {
     seed; spec;
     state = (seed * 2654435761) lor 1;

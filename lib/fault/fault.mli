@@ -70,10 +70,10 @@ val none : plan
 (** The permanently-disabled plan; the hooks' fast path.  Threading
     [none] must cost one branch and never draw from any PRNG. *)
 
-val plan : ?registry:Telemetry.registry -> ?spec:spec -> seed:int -> unit -> plan
-(** [plan ~seed ()] is a fresh schedule (default spec {!default_chaos}).
-    [registry] receives the [fault.injected.*] counters (default
-    {!Telemetry.default}). *)
+val plan : registry:Telemetry.registry -> ?spec:spec -> seed:int -> unit -> plan
+(** [plan ~registry ~seed ()] is a fresh schedule (default spec
+    {!default_chaos}).  [registry] receives the [fault.injected.*]
+    counters. *)
 
 val seed : plan -> int
 val active : plan -> bool

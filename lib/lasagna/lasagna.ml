@@ -21,15 +21,8 @@ module Ctx = Pass_core.Ctx
 module Dpapi = Pass_core.Dpapi
 module Record = Pass_core.Record
 
-type stats = {
-  mutable frames_logged : int;
-  mutable prov_bytes_logged : int;
-  mutable data_bytes : int;
-  mutable rotations : int;
-}
-
-(* Registry-backed instruments; [stats] is a view built on demand.  The
-   WAP log owns the [wap.*] names, the stacking data path [lasagna.*]. *)
+(* Registry-backed instruments.  The WAP log owns the [wap.*] names, the
+   stacking data path [lasagna.*]. *)
 type instruments = {
   frames_written : Telemetry.counter; (* wap.frames_written *)
   bytes_written : Telemetry.counter; (* wap.bytes_written *)
@@ -98,13 +91,7 @@ let errno_to_dpapi : Vfs.errno -> Dpapi.error = function
 
 let lift r = Result.map_error errno_to_dpapi r
 
-let stats t : stats =
-  {
-    frames_logged = Telemetry.value t.i.frames_written;
-    prov_bytes_logged = Telemetry.value t.i.bytes_written;
-    data_bytes = Telemetry.value t.i.data_bytes;
-    rotations = Telemetry.value t.i.rotations;
-  }
+let wap_bytes_written t = Telemetry.value t.i.bytes_written
 let volume t = t.volume
 
 (* Transient disk errors (the fault plan's EIO kind) are retried a few
@@ -133,7 +120,7 @@ let fresh_log t =
       t.log_off <- 0
   | Error e -> Vfs.fatal "lasagna: cannot create log" e
 
-let create ?registry ?(log_max = 1 lsl 20) ?(idle_ns = 5_000_000_000) ?(now = fun () -> 0)
+let create ~registry ?(log_max = 1 lsl 20) ?(idle_ns = 5_000_000_000) ?(now = fun () -> 0)
     ?(tracer = Pvtrace.disabled) ?(group_commit = true) ~lower ~ctx ~volume ~charge () =
   let pass_dir =
     match Vfs.mkdir_p lower ("/" ^ pass_dirname) with
@@ -167,14 +154,14 @@ let create ?registry ?(log_max = 1 lsl 20) ?(idle_ns = 5_000_000_000) ?(now = fu
       described = Hashtbl.create 1024;
       i =
         {
-          frames_written = Telemetry.counter ?registry "wap.frames_written";
-          bytes_written = Telemetry.counter ?registry "wap.bytes_written";
-          rotations = Telemetry.counter ?registry "wap.rotations";
-          commits = Telemetry.counter ?registry "wap.group_commits";
-          data_bytes = Telemetry.counter ?registry "lasagna.data_bytes";
-          append_ns = Telemetry.histogram ?registry "wap.append_ns";
-          io_retries = Telemetry.counter ?registry "lasagna.io_retries";
-          queue_depth = Telemetry.gauge ?registry "wap.queue_depth";
+          frames_written = Telemetry.counter ~registry "wap.frames_written";
+          bytes_written = Telemetry.counter ~registry "wap.bytes_written";
+          rotations = Telemetry.counter ~registry "wap.rotations";
+          commits = Telemetry.counter ~registry "wap.group_commits";
+          data_bytes = Telemetry.counter ~registry "lasagna.data_bytes";
+          append_ns = Telemetry.histogram ~registry "wap.append_ns";
+          io_retries = Telemetry.counter ~registry "lasagna.io_retries";
+          queue_depth = Telemetry.gauge ~registry "wap.queue_depth";
         };
     }
   in

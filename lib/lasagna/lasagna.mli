@@ -8,15 +8,8 @@
 
 type t
 
-type stats = {
-  mutable frames_logged : int;
-  mutable prov_bytes_logged : int;
-  mutable data_bytes : int;
-  mutable rotations : int;
-}
-
 val create :
-  ?registry:Telemetry.registry ->
+  registry:Telemetry.registry ->
   ?log_max:int ->
   ?idle_ns:int ->
   ?now:(unit -> int) ->
@@ -28,10 +21,10 @@ val create :
   charge:(int -> unit) ->
   unit ->
   t
-(** [create ~lower ~ctx ~volume ~charge ()] stacks a Lasagna instance over
-    [lower].  [registry] receives the [wap.*] and [lasagna.*] instruments
-    (default {!Telemetry.default}); [charge] receives the double-buffering
-    CPU nanoseconds the stacking costs; [log_max] (default 1 MiB) bounds
+(** [create ~registry ~lower ~ctx ~volume ~charge ()] stacks a Lasagna
+    instance over [lower].  [registry] receives the [wap.*] and
+    [lasagna.*] instruments; [charge] receives the double-buffering CPU
+    nanoseconds the stacking costs; [log_max] (default 1 MiB) bounds
     the active log before rotation, and a log dormant for [idle_ns]
     (default 5 simulated seconds, measured on [now]) is closed on the next
     append — the paper's two rotation triggers.  Each WAP append is timed
@@ -61,8 +54,9 @@ val write_txn_bundle :
   (int, Pass_core.Dpapi.error) result
 (** [pass_write] with an explicit PA-NFS transaction tag (Section 6.1.2). *)
 
-val stats : t -> stats
-(** A point-in-time view over the [wap.*] / [lasagna.*] instruments. *)
+val wap_bytes_written : t -> int
+(** This instance's own [wap.bytes_written] count.  The registry sums the
+    counter over every volume; Table 3 charges each volume its own. *)
 
 val volume : t -> string
 

@@ -83,7 +83,7 @@ let read_whole retried lower ino =
    post-crash scan shows up in the same snapshot as the run it repairs. *)
 let record_outcome registry ~io_retries report =
   let c name v =
-    Telemetry.add (Telemetry.counter ?registry ("wap.recovery." ^ name)) v
+    Telemetry.add (Telemetry.counter ~registry ("wap.recovery." ^ name)) v
   in
   c "logs_scanned" report.logs_scanned;
   c "logs_skipped" report.logs_skipped;
@@ -102,7 +102,7 @@ let bundle_has_endtxn bundle =
         e.records)
     bundle
 
-let scan ?registry ?(waldo_dir = "/.waldo") lower =
+let scan ~registry ?(waldo_dir = "/.waldo") lower =
   let retried = ref 0 in
   let* pass_dir, logs = list_logs lower in
   (* A durable checkpoint bounds the scan: logs below its watermark are

@@ -47,20 +47,20 @@ type instruments = {
 }
 
 let instruments registry =
-  let c name = Telemetry.counter ?registry ("panfs." ^ name) in
-  let n name = Telemetry.counter ?registry ("nfs." ^ name) in
+  let c name = Telemetry.counter ~registry ("panfs." ^ name) in
+  let n name = Telemetry.counter ~registry ("nfs." ^ name) in
   {
     rpcs = c "rpcs";
     txns = c "txns";
     inline_writes = c "inline_writes";
-    rpc_latency = Telemetry.histogram ?registry "panfs.rpc_latency";
+    rpc_latency = Telemetry.histogram ~registry "panfs.rpc_latency";
     retries = n "retries";
     backpressure = n "backpressure";
     wb_queued = n "wb_queued";
     txns_abandoned = n "txns_abandoned";
     batch_rpcs = n "batch_rpcs";
     batched_writes = n "batched_writes";
-    wb_backlog = Telemetry.gauge ?registry "nfs.wb_backlog";
+    wb_backlog = Telemetry.gauge ~registry "nfs.wb_backlog";
   }
 
 (* Write-behind buffers: the client coalesces contiguous streaming writes
@@ -119,7 +119,7 @@ type t = {
   mutable prov_pending : prov_buf list; (* newest first; one buffer per file *)
 }
 
-let create ?registry ?(wb_high_water = 64) ?(piggyback = true)
+let create ~registry ?(wb_high_water = 64) ?(piggyback = true)
     ?(tracer = Pvtrace.disabled) ~net ~handler ~ctx ~mount_name () =
   {
     net; handler; ctx; mount_name;

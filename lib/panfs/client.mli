@@ -32,7 +32,7 @@ type stats = {
 }
 
 val create :
-  ?registry:Telemetry.registry ->
+  registry:Telemetry.registry ->
   ?wb_high_water:int ->
   ?piggyback:bool ->
   ?tracer:Pvtrace.t ->
@@ -46,9 +46,9 @@ val create :
     machine; handles it returns carry it.  [registry] receives the
     [panfs.*] and [nfs.*] instruments, including the [panfs.rpc_latency]
     histogram of simulated round-trip nanoseconds, observed per logical
-    call across its retries (default {!Telemetry.default}).  [wb_high_water] (default 64) bounds the
-    write-behind backlog used to ride out partitions: past it,
-    provenance writes fail with [Eagain] (backpressure).
+    call across its retries.  [wb_high_water] (default 64) bounds the
+    write-behind backlog used to ride out partitions: past it, provenance
+    writes fail with [Eagain] (backpressure).
 
     [piggyback] (the default) lets coalesced writes to several files ride
     one [OP_PASSBATCH] envelope instead of one RPC each, and lets the

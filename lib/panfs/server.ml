@@ -24,7 +24,7 @@ module Disk = Simdisk.Disk
 type mode = Plain | Pass_enabled
 
 (* Server-side instruments (the embedded analyzer / Lasagna / Waldo / disk
-   register their own when a registry is threaded through [create]). *)
+   register their own in the same registry). *)
 type instruments = {
   requests : Telemetry.counter;
   txns_opened : Telemetry.counter;
@@ -35,11 +35,11 @@ type instruments = {
 
 let instruments registry =
   {
-    requests = Telemetry.counter ?registry "panfs.server.requests";
-    txns_opened = Telemetry.counter ?registry "panfs.server.txns_opened";
-    drc_hits = Telemetry.counter ?registry "nfs.drc.hits";
-    drc_misses = Telemetry.counter ?registry "nfs.drc.misses";
-    drc_size = Telemetry.gauge ?registry "nfs.drc.size";
+    requests = Telemetry.counter ~registry "panfs.server.requests";
+    txns_opened = Telemetry.counter ~registry "panfs.server.txns_opened";
+    drc_hits = Telemetry.counter ~registry "nfs.drc.hits";
+    drc_misses = Telemetry.counter ~registry "nfs.drc.misses";
+    drc_size = Telemetry.gauge ~registry "nfs.drc.size";
   }
 
 type t = {
@@ -69,10 +69,10 @@ type t = {
   drc_capacity : int;
 }
 
-let create ?registry ?fault ?(tracer = Pvtrace.disabled) ~mode ~clock ~machine ~volume () =
+let create ~registry ?fault ?(tracer = Pvtrace.disabled) ~mode ~clock ~machine ~volume () =
   Pvtrace.set_now tracer (fun () -> Clock.now clock);
   let i = instruments registry in
-  let disk = Disk.create ?registry ?fault ~clock () in
+  let disk = Disk.create ~registry ?fault ~clock () in
   let ext3 = Ext3.format disk in
   let ctx = Ctx.create ~machine in
   match mode with
@@ -85,15 +85,15 @@ let create ?registry ?fault ?(tracer = Pvtrace.disabled) ~mode ~clock ~machine ~
   | Pass_enabled ->
       Ext3.set_cache_capacity ext3 2048;
       let lasagna =
-        Lasagna.create ?registry ~now:(fun () -> Clock.now clock) ~tracer
+        Lasagna.create ~registry ~now:(fun () -> Clock.now clock) ~tracer
           ~lower:(Ext3.ops ext3) ~ctx ~volume ~charge:(Clock.advance clock) ()
       in
       let lasagna_ep = Lasagna.endpoint lasagna in
       let analyzer =
-        Analyzer.create ?registry ~charge:(Clock.advance clock) ~tracer ~ctx
+        Analyzer.create ~registry ~charge:(Clock.advance clock) ~tracer ~ctx
           ~lower:(Dpapi.traced ~tracer ~layer:"lasagna" lasagna_ep) ()
       in
-      let waldo = Waldo.create ?registry ~tracer ~lower:(Ext3.ops ext3) () in
+      let waldo = Waldo.create ~registry ~tracer ~lower:(Ext3.ops ext3) () in
       Waldo.attach waldo lasagna;
       {
         mode; clock; disk; ext3; export = Lasagna.ops lasagna; lasagna = Some lasagna;

@@ -16,7 +16,7 @@ type mode = Plain | Pass_enabled
 type t
 
 val create :
-  ?registry:Telemetry.registry ->
+  registry:Telemetry.registry ->
   ?fault:Fault.plan ->
   ?tracer:Pvtrace.t ->
   mode:mode ->
@@ -27,9 +27,9 @@ val create :
   t
 (** [clock] is shared with the clients so server disk time appears as
     client-visible latency.  [registry] receives the [panfs.server.*] and
-    [nfs.drc.*] counters, plus the instruments of the embedded disk and —
-    in [Pass_enabled] mode — Lasagna, analyzer and Waldo (default
-    {!Telemetry.default}).  [fault] is forwarded to the server's disk. *)
+    [nfs.drc.*] counters, plus the instruments of the embedded disk and — in
+    [Pass_enabled] mode — Lasagna, analyzer and Waldo.  [fault] is forwarded
+    to the server's disk. *)
 
 val handle : t -> Proto.call -> Proto.resp
 (** Serve one call (the simulated transport calls this).  A call whose

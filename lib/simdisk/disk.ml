@@ -39,7 +39,7 @@ type instruments = {
 }
 
 let instruments registry =
-  let c name = Telemetry.counter ?registry ("disk." ^ name) in
+  let c name = Telemetry.counter ~registry ("disk." ^ name) in
   {
     reads = c "reads";
     writes = c "writes";
@@ -81,7 +81,7 @@ type t = {
   per_block_transfer_ns : int;
 }
 
-let create ?registry ?(total_blocks = 20_000_000) ?(stream_slots = 5) ?(fault = Fault.none)
+let create ~registry ?(total_blocks = 20_000_000) ?(stream_slots = 5) ?(fault = Fault.none)
     ~clock () =
   {
     clock;

@@ -28,7 +28,7 @@ exception Io_error
     (the file system above maps it to [Vfs.EIO]; a retry may succeed). *)
 
 val create :
-  ?registry:Telemetry.registry ->
+  registry:Telemetry.registry ->
   ?total_blocks:int ->
   ?stream_slots:int ->
   ?fault:Fault.plan ->
@@ -37,7 +37,7 @@ val create :
   t
 (** [stream_slots] (default 5) is the number of concurrent sequential
     streams the simulated elevator can keep cheap; [registry] receives the
-    [disk.*] instruments (default {!Telemetry.default}).  [fault] (default
+    [disk.*] instruments.  [fault] (default
     {!Fault.none}) injects transient errors, torn writes and silent
     corruption per its seeded schedule. *)
 

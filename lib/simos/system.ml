@@ -95,7 +95,7 @@ let router t : Dpapi.endpoint =
         ep.pass_sync h);
   }
 
-let create ?(registry = Telemetry.default) ?fault ?(tracer = Pvtrace.disabled)
+let create ~registry ?fault ?(tracer = Pvtrace.disabled)
     ?(monitor = Pvmon.disabled) ?(batching = true) ~mode ~machine ~volume_names
     () =
   let clock = Clock.create () in
@@ -226,7 +226,7 @@ let space t =
       let log_bytes, db_bytes, idx_bytes =
         match (v.v_lasagna, v.v_waldo) with
         | Some l, Some w ->
-            ((Lasagna.stats l).prov_bytes_logged,
+            (Lasagna.wap_bytes_written l,
              Provdb.db_bytes (Waldo.db w),
              Provdb.index_bytes (Waldo.db w))
         | _ -> (0, 0, 0)

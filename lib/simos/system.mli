@@ -22,7 +22,7 @@ type volume = {
 type t
 
 val create :
-  ?registry:Telemetry.registry ->
+  registry:Telemetry.registry ->
   ?fault:Fault.plan ->
   ?tracer:Pvtrace.t ->
   ?monitor:Pvmon.t ->
@@ -32,10 +32,10 @@ val create :
   volume_names:string list ->
   unit ->
   t
-(** [registry] (default {!Telemetry.default}) receives the instruments of
-    every layer of this machine — [disk.*], [wap.*], [waldo.*],
-    [distributor.*], [analyzer.*], [observer.*] — plus the DPAPI hot-path
-    span histograms [dpapi.pass_write_ns] / [dpapi.pass_freeze_ns]
+(** [registry] receives the instruments of every layer of this machine —
+    [disk.*], [wap.*], [waldo.*], [distributor.*], [analyzer.*],
+    [observer.*] — plus the DPAPI hot-path span histograms
+    [dpapi.pass_write_ns] / [dpapi.pass_freeze_ns]
     (simulated nanoseconds, [Pass] mode only).  [fault] (default
     {!Fault.none}) is shared by every volume's disk.  [tracer] (default
     {!Pvtrace.disabled}) is wired to this machine's clock and threaded

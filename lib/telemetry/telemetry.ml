@@ -30,23 +30,19 @@ type instrument = Counter of counter | Gauge of gauge | Histogram of histogram
 type registry = { mutable instruments : (string * instrument) list (* newest first *) }
 
 let create () = { instruments = [] }
-let default = create ()
+let register registry name i = registry.instruments <- (name, i) :: registry.instruments
 
-let register registry name i =
-  let r = match registry with Some r -> r | None -> default in
-  r.instruments <- (name, i) :: r.instruments
-
-let counter ?registry name =
+let counter ~registry name =
   let c = { c = 0 } in
   register registry name (Counter c);
   c
 
-let gauge ?registry name =
+let gauge ~registry name =
   let g = { g = 0. } in
   register registry name (Gauge g);
   g
 
-let histogram ?registry name =
+let histogram ~registry name =
   let h =
     { h_count = 0; h_sum = 0.; h_min = 0.; h_max = 0.;
       samples = Array.make reservoir_cap 0.; n_samples = 0; stride = 1 }

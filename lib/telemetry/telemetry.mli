@@ -6,10 +6,11 @@
     machine-readable form of the paper's Tables 2–3 accounting: records
     in/out, duplicates dropped, WAP bytes, RPC latencies, disk seeks.
 
-    Instruments are owned by the layer instance that created them (so the
-    per-layer [stats] views stay exact even when several instances coexist);
-    the registry aggregates same-named instruments at snapshot time, the way
-    a scrape aggregates per-process metrics. *)
+    Instruments are owned by the layer instance that created them; the
+    registry aggregates same-named instruments at snapshot time, the way a
+    scrape aggregates per-process metrics.  A registry is the one record
+    of what its layers did: callers read counts from it
+    ({!counter_value}), and no layer keeps a second tally. *)
 
 type registry
 type counter
@@ -17,19 +18,17 @@ type gauge
 type histogram
 
 val create : unit -> registry
-(** A fresh, empty registry. *)
-
-val default : registry
-(** The process-global registry used when [?registry] is omitted. *)
+(** A fresh, empty registry.  There is no process-global one: every
+    instrument is created against a registry its caller owns. *)
 
 (** {1 Instrument creation}
 
     Creating an instrument registers it under [name].  Several instruments
     may share a name (one per layer instance); snapshots aggregate them. *)
 
-val counter : ?registry:registry -> string -> counter
-val gauge : ?registry:registry -> string -> gauge
-val histogram : ?registry:registry -> string -> histogram
+val counter : registry:registry -> string -> counter
+val gauge : registry:registry -> string -> gauge
+val histogram : registry:registry -> string -> histogram
 
 (** {1 Counters} *)
 

@@ -7,7 +7,7 @@
     query path). *)
 
 val load_into :
-  ?registry:Telemetry.registry ->
+  registry:Telemetry.registry ->
   Vfs.ops ->
   dir:string ->
   segments:(string * string) list ->
@@ -18,7 +18,7 @@ val load_into :
     manifest's record is [EIO]. *)
 
 val install_handler :
-  ?registry:Telemetry.registry ->
+  registry:Telemetry.registry ->
   Vfs.ops ->
   dir:string ->
   segments:(string * string) list ->

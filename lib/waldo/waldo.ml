@@ -14,15 +14,7 @@ module Pvalue = Pass_core.Pvalue
 module Record = Pass_core.Record
 module Dpapi = Pass_core.Dpapi
 
-type stats = {
-  mutable logs_processed : int;
-  mutable frames_ingested : int;
-  mutable records_ingested : int;
-  mutable txns_committed : int;
-  mutable txns_orphaned : int;
-}
-
-(* Registry-backed instruments; [stats] is a view built on demand. *)
+(* Registry-backed instruments. *)
 type instruments = {
   logs_processed : Telemetry.counter;
   frames_ingested : Telemetry.counter;
@@ -48,7 +40,7 @@ type t = {
   ingest_version : (Pnode.t, int) Hashtbl.t; (* version tracking during ingest *)
   pending_txns : (int, Dpapi.bundle list ref) Hashtbl.t;
   tracer : Pvtrace.t;
-  registry : Telemetry.registry option;
+  registry : Telemetry.registry;
   policy : policy;
   compact_keep : int option; (* versions per node kept hot; None = all *)
   checkpoint_dir : string;
@@ -59,10 +51,10 @@ type t = {
   i : instruments;
 }
 
-let create ?registry ?(tracer = Pvtrace.disabled) ?(policy = Disabled)
+let create ~registry ?(tracer = Pvtrace.disabled) ?(policy = Disabled)
     ?compact_keep ?(checkpoint_dir = "/.waldo") ~lower () =
-  let c name = Telemetry.counter ?registry ("waldo." ^ name) in
-  let g name = Telemetry.gauge ?registry ("waldo." ^ name) in
+  let c name = Telemetry.counter ~registry ("waldo." ^ name) in
+  let g name = Telemetry.gauge ~registry ("waldo." ^ name) in
   {
     db = Provdb.create ();
     lower;
@@ -92,16 +84,6 @@ let create ?registry ?(tracer = Pvtrace.disabled) ?(policy = Disabled)
   }
 
 let db t = t.db
-
-let stats t : stats =
-  let v = Telemetry.value in
-  {
-    logs_processed = v t.i.logs_processed;
-    frames_ingested = v t.i.frames_ingested;
-    records_ingested = v t.i.records_ingested;
-    txns_committed = v t.i.txns_committed;
-    txns_orphaned = v t.i.txns_orphaned;
-  }
 
 let cur_version t pnode =
   Option.value (Hashtbl.find_opt t.ingest_version pnode) ~default:0
@@ -285,7 +267,7 @@ let checkpoint t =
   t.archives <- archives;
   t.frames_since_ckpt <- 0;
   Telemetry.set t.i.ckpt_staleness 0.;
-  Archive.install_handler ?registry:t.registry t.lower ~dir ~segments:archives t.db;
+  Archive.install_handler ~registry:t.registry t.lower ~dir ~segments:archives t.db;
   Telemetry.incr t.i.checkpoints;
   Pvtrace.set_outcome t.tracer "committed";
   (* cleanup: everything from here is re-done by recover after a crash *)
@@ -368,11 +350,11 @@ let persist t ~dir =
   let* _digest = Checkpoint.write_atomic t.lower ~path:(dir ^ "/db.dat") image in
   Ok ()
 
-let load ?registry ~lower ~dir () =
+let load ~registry ~lower ~dir () =
   let* image, _digest = Checkpoint.read_verified lower ~path:(dir ^ "/db.dat") in
   match Provdb.deserialize image with
   | db ->
-      let t = create ?registry ~lower () in
+      let t = create ~registry ~lower () in
       Provdb.merge_into ~dst:(t.db : Provdb.t) ~src:db;
       reseed_versions t;
       Ok t
@@ -429,8 +411,8 @@ let clean_strays lower ~dir keep =
    cleanup a crash interrupted, and replay only the post-watermark log
    suffix.  Without a manifest this degrades to the full-history replay
    the system always had. *)
-let recover ?registry ?tracer ?policy ?compact_keep ?(dir = "/.waldo") ~lower () =
-  let t = create ?registry ?tracer ?policy ?compact_keep ~checkpoint_dir:dir ~lower () in
+let recover ~registry ?tracer ?policy ?compact_keep ?(dir = "/.waldo") ~lower () =
+  let t = create ~registry ?tracer ?policy ?compact_keep ~checkpoint_dir:dir ~lower () in
   let* manifest = Checkpoint.read_manifest lower ~dir in
   match manifest with
   | None ->
@@ -509,7 +491,7 @@ let recover ?registry ?tracer ?policy ?compact_keep ?(dir = "/.waldo") ~lower ()
             Ok (n + k))
           (Ok 0) suffix
       in
-      Archive.install_handler ?registry t.lower ~dir ~segments:t.archives t.db;
+      Archive.install_handler ~registry t.lower ~dir ~segments:t.archives t.db;
       Ok
         ( t,
           {

@@ -7,14 +7,6 @@
 
 type t
 
-type stats = {
-  mutable logs_processed : int;
-  mutable frames_ingested : int;
-  mutable records_ingested : int;
-  mutable txns_committed : int;
-  mutable txns_orphaned : int;
-}
-
 type policy = Disabled | Manual | Every_frames of int
 (** When to take a checkpoint.  [Disabled] (the default) keeps the
     original behaviour: processed logs are removed immediately and
@@ -23,7 +15,7 @@ type policy = Disabled | Manual | Every_frames of int
     triggers a checkpoint after every [n] ingested frames. *)
 
 val create :
-  ?registry:Telemetry.registry ->
+  registry:Telemetry.registry ->
   ?tracer:Pvtrace.t ->
   ?policy:policy ->
   ?compact_keep:int ->
@@ -31,19 +23,15 @@ val create :
   lower:Vfs.ops ->
   unit ->
   t
-(** [create ~lower ()] builds a Waldo reading logs from the [.pass]
+(** [create ~registry ~lower ()] builds a Waldo reading logs from the [.pass]
     directory of [lower] (the file system beneath Lasagna).  [registry]
-    receives the [waldo.*] instruments (default {!Telemetry.default});
-    [tracer] (default {!Pvtrace.disabled}) records ingest spans and
-    committed / orphaned transaction events.  [compact_keep] bounds how
-    many versions per node stay hot across a checkpoint (the rest move
-    to cold-tier archive segments); [checkpoint_dir] (default
-    ["/.waldo"]) holds the MANIFEST and its payload files. *)
+    receives the [waldo.*] instruments; [tracer] (default {!Pvtrace.disabled})
+    records ingest spans and committed / orphaned transaction events.
+    [compact_keep] bounds how many versions per node stay hot across a
+    checkpoint (the rest move to cold-tier archive segments); [checkpoint_dir]
+    (default ["/.waldo"]) holds the MANIFEST and its payload files. *)
 
 val db : t -> Provdb.t
-
-val stats : t -> stats
-(** A point-in-time view over the [waldo.*] telemetry instruments. *)
 
 val attach : t -> Lasagna.t -> unit
 (** Subscribe to the Lasagna instance's closed-log notifications (the
@@ -66,7 +54,8 @@ val persist : t -> dir:string -> (unit, Vfs.errno) result
     The image is digest-framed and published with a temp-file + rename,
     so a crash mid-persist leaves the previous image intact. *)
 
-val load : ?registry:Telemetry.registry -> lower:Vfs.ops -> dir:string -> unit -> (t, Vfs.errno) result
+val load :
+  registry:Telemetry.registry -> lower:Vfs.ops -> dir:string -> unit -> (t, Vfs.errno) result
 (** Restart the daemon from a persisted image.  A torn or tampered
     image is [EIO], never a half-loaded database. *)
 
@@ -91,7 +80,7 @@ type recovery_info = {
 }
 
 val recover :
-  ?registry:Telemetry.registry ->
+  registry:Telemetry.registry ->
   ?tracer:Pvtrace.t ->
   ?policy:policy ->
   ?compact_keep:int ->

@@ -59,8 +59,8 @@ let standard ?(scale = 1.0) () =
 
 (* --- configurations -------------------------------------------------------- *)
 
-let local_system ?registry ?tracer ?monitor ?batching mode =
-  System.create ?registry ?tracer ?monitor ?batching ~mode ~machine:1
+let local_system ~registry ?tracer ?monitor ?batching mode =
+  System.create ~registry ?tracer ?monitor ?batching ~mode ~machine:1
     ~volume_names:[ "vol0" ] ()
 
 (* A client machine with an NFS mount at vol0.  In PASS mode the client
@@ -68,9 +68,9 @@ let local_system ?registry ?tracer ?monitor ?batching mode =
    volume, mirroring the paper's workstation.  A [tracer] is shared by the
    client machine and the server, which is what lets server-side spans
    parent onto client RPC spans in the exported trace. *)
-let nfs_system ?registry ?tracer ?monitor ?batching mode =
+let nfs_system ~registry ?tracer ?monitor ?batching mode =
   let sys =
-    System.create ?registry ?tracer ?monitor ?batching ~mode ~machine:1
+    System.create ~registry ?tracer ?monitor ?batching ~mode ~machine:1
       ~volume_names:(match mode with System.Pass -> [ "scratch" ] | System.Vanilla -> [])
       ()
   in
@@ -79,11 +79,11 @@ let nfs_system ?registry ?tracer ?monitor ?batching mode =
     match mode with System.Pass -> Server.Pass_enabled | System.Vanilla -> Server.Plain
   in
   let server =
-    Server.create ?registry ?tracer ~mode:server_mode ~clock ~machine:2 ~volume:"vol0" ()
+    Server.create ~registry ?tracer ~mode:server_mode ~clock ~machine:2 ~volume:"vol0" ()
   in
   let net = Proto.net clock in
   let client =
-    Client.create ?registry ?tracer ?piggyback:batching ~net ~handler:(Server.handle server)
+    Client.create ~registry ?tracer ?piggyback:batching ~net ~handler:(Server.handle server)
       ~ctx:(Kernel.ctx (System.kernel sys))
       ~mount_name:"vol0" ()
   in
@@ -108,29 +108,30 @@ type row = {
 let overhead base pass = (pass -. base) /. base *. 100.
 
 (* [registry] collects the telemetry of the PASS-configuration run only,
-   so its counters describe the provenance pipeline, not the baseline. *)
-let measure_local ?registry w =
-  let run ?registry mode =
-    let sys = local_system ?registry mode in
+   so its counters describe the provenance pipeline, not the baseline: the
+   baseline run reports into a registry of its own that is dropped. *)
+let measure_local ~registry w =
+  let run ~registry mode =
+    let sys = local_system ~registry mode in
     w.run sys;
     ignore (System.drain sys : int);
     System.elapsed_seconds sys
   in
-  let base = run System.Vanilla in
-  let pass = run ?registry System.Pass in
+  let base = run ~registry:(Telemetry.create ()) System.Vanilla in
+  let pass = run ~registry System.Pass in
   { r_name = w.wl_name; base_seconds = base; pass_seconds = pass;
     overhead_pct = overhead base pass }
 
-let measure_nfs ?registry w =
-  let run ?registry mode =
-    let sys, server = nfs_system ?registry mode in
+let measure_nfs ~registry w =
+  let run ~registry mode =
+    let sys, server = nfs_system ~registry mode in
     w.run sys;
     ignore (System.drain sys : int);
     ignore (Server.drain server : int);
     System.elapsed_seconds sys
   in
-  let base = run System.Vanilla in
-  let pass = run ?registry System.Pass in
+  let base = run ~registry:(Telemetry.create ()) System.Vanilla in
+  let pass = run ~registry System.Pass in
   { r_name = w.wl_name; base_seconds = base; pass_seconds = pass;
     overhead_pct = overhead base pass }
 
@@ -148,10 +149,10 @@ let mb bytes = float_of_int bytes /. (1024. *. 1024.)
 let measure_space w =
   (* data footprint from the baseline run; provenance sizes from the PASS
      run (Waldo database + indexes), as in Table 3 *)
-  let base_sys = local_system System.Vanilla in
+  let base_sys = local_system ~registry:(Telemetry.create ()) System.Vanilla in
   w.run base_sys;
   let base_space = System.space base_sys in
-  let sys = local_system System.Pass in
+  let sys = local_system ~registry:(Telemetry.create ()) System.Pass in
   w.run sys;
   ignore (System.drain sys : int);
   let space = System.space sys in

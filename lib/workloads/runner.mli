@@ -11,7 +11,7 @@ val standard : ?scale:float -> unit -> workload list
     PA-Kepler); [scale] shrinks the op counts for quick runs. *)
 
 val local_system :
-  ?registry:Telemetry.registry ->
+  registry:Telemetry.registry ->
   ?tracer:Pvtrace.t ->
   ?monitor:Pvmon.t ->
   ?batching:bool ->
@@ -19,7 +19,7 @@ val local_system :
   System.t
 
 val nfs_system :
-  ?registry:Telemetry.registry ->
+  registry:Telemetry.registry ->
   ?tracer:Pvtrace.t ->
   ?monitor:Pvmon.t ->
   ?batching:bool ->
@@ -40,11 +40,12 @@ type row = {
   overhead_pct : float;
 }
 
-val measure_local : ?registry:Telemetry.registry -> workload -> row
+val measure_local : registry:Telemetry.registry -> workload -> row
 (** One Table 2 local row: run on ext3 and on PASSv2, compare clocks.
-    [registry] collects the telemetry of the PASS run only. *)
+    [registry] collects the telemetry of the PASS run only; the baseline
+    run reports into a throwaway registry of its own. *)
 
-val measure_nfs : ?registry:Telemetry.registry -> workload -> row
+val measure_nfs : registry:Telemetry.registry -> workload -> row
 (** One Table 2 NFS row; [registry] as in {!measure_local}. *)
 
 type space_row = {

@@ -56,10 +56,13 @@ let payload ~seed ~len =
       st := (!st * 1103515245) + 12345;
       Char.chr (abs (!st lsr 16) mod 256))
 
+(* A counter's registry-wide total; 0 when nothing registered the name. *)
+let count registry name = Option.value (Telemetry.counter_value registry name) ~default:0
+
 (* Build a fresh one-disk ext3 instance. *)
 let fresh_ext3 () =
   let clock = Simdisk.Clock.create () in
-  let disk = Simdisk.Disk.create ~clock () in
+  let disk = Simdisk.Disk.create ~registry:(Telemetry.create ()) ~clock () in
   (disk, Ext3.format disk)
 
 (* PQL conveniences over the prepared-query engine: one-shot execution

@@ -12,14 +12,15 @@ let tbool = Alcotest.bool
 let setup () =
   let ctx = Ctx.create ~machine:1 in
   let s = Helpers.sink ctx in
-  let an = Analyzer.create ~ctx ~lower:(Helpers.sink_endpoint s) () in
-  (ctx, s, an, Analyzer.endpoint an)
+  let registry = Telemetry.create () in
+  let an = Analyzer.create ~registry ~ctx ~lower:(Helpers.sink_endpoint s) () in
+  (ctx, s, registry, Analyzer.endpoint an)
 
 let file ctx = Dpapi.handle ~volume:"v" (Ctx.fresh ctx)
 let obj ctx = Dpapi.handle (Ctx.fresh ctx)
 
 let test_dedup_drops_repeats () =
-  let ctx, s, an, ep = setup () in
+  let ctx, s, registry, ep = setup () in
   (* file first, process second: the edge points at an older object, so no
      freeze muddies the count *)
   let a = file ctx in
@@ -28,13 +29,12 @@ let test_dedup_drops_repeats () =
   for _ = 1 to 10 do
     Helpers.ok (Dpapi.disclose ep p [ r ])
   done;
-  let stats = Analyzer.stats an in
   check tint "only one record reaches storage" 1 (List.length (Helpers.all_records s));
-  check tint "nine duplicates dropped" 9 stats.duplicates_dropped;
-  check tint "nine writes elided entirely" 9 stats.writes_elided
+  check tint "nine duplicates dropped" 9 (Helpers.count registry "analyzer.duplicates_dropped");
+  check tint "nine writes elided entirely" 9 (Helpers.count registry "analyzer.writes_elided")
 
 let test_dedup_per_version () =
-  let ctx, s, _an, ep = setup () in
+  let ctx, s, _registry, ep = setup () in
   let p = obj ctx and a = file ctx in
   let r = Record.input_of a.pnode 0 in
   Helpers.ok (Dpapi.disclose ep p [ r ]);
@@ -50,7 +50,10 @@ let test_dedup_per_version () =
 let test_dedup_disabled () =
   let ctx = Ctx.create ~machine:1 in
   let s = Helpers.sink ctx in
-  let an = Analyzer.create ~dedup:false ~ctx ~lower:(Helpers.sink_endpoint s) () in
+  let an =
+    Analyzer.create ~registry:(Telemetry.create ()) ~dedup:false ~ctx
+      ~lower:(Helpers.sink_endpoint s) ()
+  in
   let ep = Analyzer.endpoint an in
   let a = file ctx in
   let p = obj ctx in
@@ -60,21 +63,21 @@ let test_dedup_disabled () =
   check tint "all records pass through" 5 (List.length (Helpers.all_records s))
 
 let test_identity_records_not_cycle_checked () =
-  let ctx, _s, an, ep = setup () in
+  let ctx, _s, registry, ep = setup () in
   let p = obj ctx in
   Helpers.ok (Dpapi.disclose ep p [ Record.name "foo"; Record.typ "PROCESS" ]);
-  check tint "no freezes for identity records" 0 (Analyzer.stats an).freezes
+  check tint "no freezes for identity records" 0 (Helpers.count registry "analyzer.freezes")
 
 let test_self_cycle_forces_freeze () =
-  let ctx, _s, an, ep = setup () in
+  let ctx, _s, registry, ep = setup () in
   let a = file ctx in
   (* a depends on its own current version: must freeze *)
   Helpers.ok (Dpapi.disclose ep a [ Record.input_of a.pnode (Ctx.current_version ctx a.pnode) ]);
-  check tint "freeze happened" 1 (Analyzer.stats an).freezes;
+  check tint "freeze happened" 1 (Helpers.count registry "analyzer.freezes");
   check tint "version bumped" 1 (Ctx.current_version ctx a.pnode)
 
 let test_read_write_cycle_avoided () =
-  let ctx, _s, _an, ep = setup () in
+  let ctx, _s, _registry, ep = setup () in
   (* Classic 2-cycle: P reads A (P -> A), then P writes A (A -> P).
      Without intervention A.v0 -> P.v0 -> A.v0 would be cyclic. *)
   let p = obj ctx and a = file ctx in
@@ -84,43 +87,44 @@ let test_read_write_cycle_avoided () =
   check tbool "A was frozen" true (Ctx.current_version ctx a.pnode > 0)
 
 let test_closed_version_edge_allowed () =
-  let ctx, _s, an, ep = setup () in
+  let ctx, _s, registry, ep = setup () in
   let b = file ctx in
   ignore (Helpers.ok (ep.pass_freeze b) : int);
   let a = file ctx in
   (* b's version 0 is closed and older than a's current: no freeze of a *)
-  let freezes_before = (Analyzer.stats an).freezes in
+  let freezes_before = Helpers.count registry "analyzer.freezes" in
   Helpers.ok (Dpapi.disclose ep a [ Record.input_of b.pnode 0 ]);
-  check tint "no extra freeze" freezes_before (Analyzer.stats an).freezes
+  check tint "no extra freeze" freezes_before (Helpers.count registry "analyzer.freezes")
 
 let test_younger_childless_target_adopted () =
   (* reading a younger object with no dependencies of its own does NOT
      freeze the reader: the target's effective birth is lowered instead
      (a long-lived process reading freshly created files stays cheap) *)
-  let ctx, _s, an, ep = setup () in
+  let ctx, _s, registry, ep = setup () in
   let p = obj ctx in
   let a = file ctx in
   Helpers.ok (Dpapi.disclose ep p [ Record.input_of a.pnode 0 ]);
-  check tint "no freeze" 0 (Analyzer.stats an).freezes;
+  check tint "no freeze" 0 (Helpers.count registry "analyzer.freezes");
   check tint "reader version unchanged" 0 (Ctx.current_version ctx p.pnode)
 
 let test_younger_target_with_deps_freezes () =
   (* but once the younger target HAS dependencies, the source must be
      frozen: lowering its birth is no longer sound *)
-  let ctx, _s, an, ep = setup () in
+  let ctx, _s, registry, ep = setup () in
   let p = obj ctx in
   let q = obj ctx in
   let a = file ctx in
   (* a gains a dependency (a -> q), so a@0 now has outgoing edges *)
   Helpers.ok (Dpapi.disclose ep a [ Record.input_of q.pnode 0 ]);
   Helpers.ok (Dpapi.disclose ep p [ Record.input_of a.pnode 0 ]);
-  check tint "source frozen" 1 (Analyzer.stats an).freezes;
+  check tint "source frozen" 1 (Helpers.count registry "analyzer.freezes");
   check tint "source version bumped" 1 (Ctx.current_version ctx p.pnode)
 
 let test_dedup_capacity_epoch () =
   let ctx = Ctx.create ~machine:1 in
   let s = Helpers.sink ctx in
-  let an = Analyzer.create ~dedup_capacity:8 ~ctx ~lower:(Helpers.sink_endpoint s) () in
+  let registry = Telemetry.create () in
+  let an = Analyzer.create ~registry ~dedup_capacity:8 ~ctx ~lower:(Helpers.sink_endpoint s) () in
   let ep = Analyzer.endpoint an in
   let a = file ctx in
   let p = obj ctx in
@@ -128,14 +132,15 @@ let test_dedup_capacity_epoch () =
   for i = 1 to 20 do
     Helpers.ok (Dpapi.disclose ep p [ Record.make "PARAMS" (Pvalue.Str (string_of_int i)) ])
   done;
-  check tbool "epoch evictions happened" true ((Analyzer.stats an).dedup_evictions >= 1);
+  check tbool "epoch evictions happened" true
+    (Helpers.count registry "analyzer.dedup_evictions" >= 1);
   (* correctness preserved: a fresh record still passes, a duplicate in the
      current epoch is still dropped *)
   Helpers.ok (Dpapi.disclose ep p [ Record.input_of a.pnode 0 ]);
-  let before = (Analyzer.stats an).duplicates_dropped in
+  let before = Helpers.count registry "analyzer.duplicates_dropped" in
   Helpers.ok (Dpapi.disclose ep p [ Record.input_of a.pnode 0 ]);
   check tbool "duplicate in current epoch dropped" true
-    ((Analyzer.stats an).duplicates_dropped > before)
+    (Helpers.count registry "analyzer.duplicates_dropped" > before)
 
 (* Drive both the analyzer and the PASSv1 global detector with the same
    random stream of read/write events and verify both end acyclic.  Uses
@@ -155,7 +160,9 @@ let prop_analyzer_acyclic =
     (fun (seed, n) ->
       let ctx = Ctx.create ~machine:1 in
       let s = Helpers.sink ctx in
-      let an = Analyzer.create ~ctx ~lower:(Helpers.sink_endpoint s) () in
+      let an =
+        Analyzer.create ~registry:(Telemetry.create ()) ~ctx ~lower:(Helpers.sink_endpoint s) ()
+      in
       let ep = Analyzer.endpoint an in
       let procs = Array.init 5 (fun _ -> Dpapi.handle (Ctx.fresh ctx)) in
       let files = Array.init 5 (fun _ -> Dpapi.handle ~volume:"v" (Ctx.fresh ctx)) in
@@ -239,7 +246,7 @@ let test_cycle_detect_merges () =
   check tbool "probing cost paid" true (Cycle_detect.probe_steps cd > 0)
 
 let test_freeze_emits_version_edge () =
-  let ctx, s, _an, ep = setup () in
+  let ctx, s, _registry, ep = setup () in
   let a = file ctx in
   let v = Helpers.ok (ep.pass_freeze a) in
   check tint "new version" 1 v;

@@ -170,7 +170,7 @@ let postmark ?piggyback ~seed () =
       check tint (path ^ " applied exactly once per ack") n (count_params db h.Dpapi.pnode))
     model;
   (* the surviving graph passes offline verification *)
-  let vreport = Pvcheck.check_db ~volume:"nfs0" db in
+  let vreport = Pvcheck.check_db ~registry:(Telemetry.create ()) ~volume:"nfs0" db in
   if not (Pvcheck.clean vreport) then
     Alcotest.failf "pvcheck after chaos run:@ %a" Pvcheck.pp_report vreport;
   check tbool "faults actually injected" true (tv r.registry "fault.injected.total" > 0);
@@ -226,7 +226,7 @@ let quiet_run ~piggyback ~seed =
   let report = ok_fs (Recovery.scan ~registry:r.registry (Ext3.ops (Server.ext3 r.server))) in
   ignore (Server.drain r.server : int);
   let db = Option.get (Server.db r.server) in
-  let v = Pvcheck.check_db ~volume:"nfs0" db in
+  let v = Pvcheck.check_db ~registry:(Telemetry.create ()) ~volume:"nfs0" db in
   if not (Pvcheck.clean v) then Alcotest.failf "pvcheck (quiet run):@ %a" Pvcheck.pp_report v;
   (Provdb.serialize db, List.length report.Recovery.inconsistent, report.Recovery.open_txns)
 

@@ -9,25 +9,32 @@ let check = Alcotest.check
 let tint = Alcotest.int
 let tbool = Alcotest.bool
 
-(* a sink that records which (volume, target, records) tuples reach storage *)
-let setup () =
+(* a sink that records which (volume, target, records) tuples reach
+   storage; the distributor reports into [registry] *)
+let setup_in registry =
   let ctx = Ctx.create ~machine:1 in
   let s = Helpers.sink ctx in
-  let d = Distributor.create ~ctx ~lower:(Helpers.sink_endpoint s) ~default_volume:"vol0" () in
+  let d =
+    Distributor.create ~registry ~ctx ~lower:(Helpers.sink_endpoint s) ~default_volume:"vol0" ()
+  in
   (ctx, s, d, Distributor.endpoint d)
+
+let setup () = setup_in (Telemetry.create ())
 
 let file ctx volume = Dpapi.handle ~volume (Ctx.fresh ctx)
 
 let test_virtual_records_cached () =
-  let _ctx, s, d, ep = setup () in
+  let registry = Telemetry.create () in
+  let _ctx, s, d, ep = setup_in registry in
   let obj = Helpers.ok (ep.pass_mkobj ~volume:None) in
   Helpers.ok (Dpapi.disclose ep obj [ Record.typ "PROCESS" ]);
   check tint "nothing reached storage" 0 (List.length s.writes);
   check tbool "cached instead" true (Distributor.is_cached_unflushed d obj.pnode);
-  check tint "cache counts the records" 1 (Distributor.stats d).cached_records
+  check tint "cache counts the records" 1 (Helpers.count registry "distributor.cached_records")
 
 let test_anchoring_flushes () =
-  let ctx, s, d, ep = setup () in
+  let registry = Telemetry.create () in
+  let ctx, s, d, ep = setup_in registry in
   let obj = Helpers.ok (ep.pass_mkobj ~volume:None) in
   Helpers.ok (Dpapi.disclose ep obj [ Record.typ "PROCESS"; Record.name "worker" ]);
   (* a persistent file starts depending on the virtual object *)
@@ -43,7 +50,7 @@ let test_anchoring_flushes () =
       (Helpers.all_records s)
   in
   check tbool "cached records written to the anchor volume" true flushed;
-  check tint "one flush" 1 (Distributor.stats d).flushes
+  check tint "one flush" 1 (Helpers.count registry "distributor.flushes")
 
 let test_recursive_ancestor_flush () =
   let ctx, _s, d, ep = setup () in

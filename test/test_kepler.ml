@@ -7,7 +7,8 @@ let check = Alcotest.check
 let tint = Alcotest.int
 let tbool = Alcotest.bool
 
-let pass_system () = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] ()
+let pass_system () = System.create ~registry:(Telemetry.create ()) ~mode:System.Pass ~machine:1
+    ~volume_names:[ "vol0" ] ()
 
 let setup () =
   let sys = pass_system () in

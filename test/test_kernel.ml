@@ -9,7 +9,8 @@ let tstr = Alcotest.string
 let ok = Helpers.ok_fs
 
 let sys2 () =
-  System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0"; "vol1" ] ()
+  System.create ~registry:(Telemetry.create ()) ~mode:System.Pass ~machine:1
+    ~volume_names:[ "vol0"; "vol1" ] ()
 
 let test_bad_descriptors () =
   let sys = sys2 () in

@@ -11,12 +11,15 @@ let tbool = Alcotest.bool
 let test_five_layer_stack () =
   (* layer 5: PASSv2 at the NFS server; layer 4: PA-NFS; layers 3-1: the
      interpreter, the library, the application *)
-  let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "scratch" ] () in
+  let registry = Telemetry.create () in
+  let sys = System.create ~registry ~mode:System.Pass ~machine:1 ~volume_names:[ "scratch" ] () in
   let clock = System.clock sys in
-  let server = Server.create ~mode:Server.Pass_enabled ~clock ~machine:2 ~volume:"vol0" () in
+  let server =
+    Server.create ~registry ~mode:Server.Pass_enabled ~clock ~machine:2 ~volume:"vol0" ()
+  in
   let net = Proto.net clock in
   let client =
-    Client.create ~net ~handler:(Server.handle server)
+    Client.create ~registry ~net ~handler:(Server.handle server)
       ~ctx:(Kernel.ctx (System.kernel sys))
       ~mount_name:"vol0" ()
   in
@@ -71,7 +74,10 @@ writefile("/vol0/out/sum.txt", stats.report(d))
 let test_workloads_generate_valid_provenance () =
   (* every Table 2 workload leaves an acyclic database behind *)
   let run_one (w : Runner.workload) =
-    let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] () in
+    let sys =
+      System.create ~registry:(Telemetry.create ()) ~mode:System.Pass ~machine:1
+        ~volume_names:[ "vol0" ] ()
+    in
     w.run sys;
     ignore (System.drain sys : int);
     let db = Option.get (System.waldo_db sys "vol0") in
@@ -82,7 +88,10 @@ let test_workloads_generate_valid_provenance () =
 
 let test_workloads_deterministic () =
   let elapsed (w : Runner.workload) =
-    let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] () in
+    let sys =
+      System.create ~registry:(Telemetry.create ()) ~mode:System.Pass ~machine:1
+        ~volume_names:[ "vol0" ] ()
+    in
     w.run sys;
     System.elapsed_seconds sys
   in
@@ -94,7 +103,7 @@ let test_workloads_deterministic () =
 
 let test_measured_overheads_positive () =
   let w = List.nth (Runner.standard ~scale:0.3 ()) 2 (* mercurial *) in
-  let row = Runner.measure_local w in
+  let row = Runner.measure_local ~registry:(Telemetry.create ()) w in
   check tbool "pass slower than ext3" true (row.Runner.pass_seconds > row.Runner.base_seconds);
   check tbool "overhead positive and sane" true
     (row.Runner.overhead_pct > 0. && row.Runner.overhead_pct < 100.);
@@ -105,7 +114,10 @@ let test_measured_overheads_positive () =
 let test_compile_ancestry_depth () =
   (* after the compile workload, vmlinux's ancestry reaches the original
      sources through two link stages and the compile processes *)
-  let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] () in
+  let sys =
+    System.create ~registry:(Telemetry.create ()) ~mode:System.Pass ~machine:1
+      ~volume_names:[ "vol0" ] ()
+  in
   Linux_compile.run
     ~params:{ Linux_compile.default with dirs = 2; files_per_dir = 3 }
     sys ~parent:Kernel.init_pid;

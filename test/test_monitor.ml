@@ -384,7 +384,7 @@ let test_disabled_is_inert () =
   check tint "never folds" 0 (Pvmon.traced_spans m);
   check tint "no alerts" 0 (List.length (Pvmon.alerts m));
   (* a system built around the disabled monitor stays disabled *)
-  let sys = Runner.local_system System.Pass in
+  let sys = Runner.local_system ~registry:(Telemetry.create ()) System.Pass in
   Kepler_wl.run sys ~parent:Kernel.init_pid;
   ignore (System.drain sys : int);
   check tint "default system monitor took no samples" 0 (Pvmon.scrapes m)

@@ -9,13 +9,16 @@ let check = Alcotest.check
 let tint = Alcotest.int
 let tbool = Alcotest.bool
 
-(* observer over analyzer over sink, the real stacking order *)
-let setup () =
+(* observer over analyzer over sink, the real stacking order, reporting
+   into [registry] *)
+let setup_in registry =
   let ctx = Ctx.create ~machine:1 in
   let s = Helpers.sink ctx in
-  let an = Analyzer.create ~ctx ~lower:(Helpers.sink_endpoint s) () in
-  let obs = Observer.create ~ctx ~lower:(Analyzer.endpoint an) () in
+  let an = Analyzer.create ~registry ~ctx ~lower:(Helpers.sink_endpoint s) () in
+  let obs = Observer.create ~registry ~ctx ~lower:(Analyzer.endpoint an) () in
   (ctx, s, obs)
+
+let setup () = setup_in (Telemetry.create ())
 
 let records_of s attr =
   List.filter (fun (_, (r : Record.t)) -> String.equal r.attr attr) (Helpers.all_records s)
@@ -144,13 +147,14 @@ let test_endpoint_for_adds_implicit_record () =
     (List.exists (fun (_, (r : Record.t)) -> r.attr = "FILE_URL") (Helpers.all_records s))
 
 let test_event_counting () =
-  let ctx, _s, obs = setup () in
+  let registry = Telemetry.create () in
+  let ctx, _s, obs = setup_in registry in
   let f = Dpapi.handle ~volume:"v" (Ctx.fresh ctx) in
   Helpers.ok (Observer.fork obs ~parent:1 ~child:2);
   ignore
     (Helpers.ok (Observer.read obs ~pid:2 ~file:f ~off:0 ~len:1) : Dpapi.read_result);
   Helpers.ok (Observer.exit obs ~pid:2);
-  check tint "events counted" 3 (Observer.stats obs).events
+  check tint "events counted" 3 (Helpers.count registry "observer.events")
 
 let suite =
   [

@@ -10,7 +10,10 @@ let tint = Alcotest.int
 let tstr = Alcotest.string
 
 let setup () =
-  let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] () in
+  let sys =
+    System.create ~registry:(Telemetry.create ()) ~mode:System.Pass ~machine:1
+      ~volume_names:[ "vol0" ] ()
+  in
   let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
   let web = Web.synthetic () in
   let browser = Browser.create ~web ~sys ~pid in
@@ -146,7 +149,10 @@ let test_malware_scenario () =
   check tbool "spread tracked to infected2" true (List.mem "infected2" descendants)
 
 let test_plain_browser_loses_provenance () =
-  let sys = System.create ~mode:System.Vanilla ~machine:1 ~volume_names:[ "vol0" ] () in
+  let sys =
+    System.create ~registry:(Telemetry.create ()) ~mode:System.Vanilla ~machine:1
+      ~volume_names:[ "vol0" ] ()
+  in
   let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
   let web = Web.synthetic () in
   let browser = Browser.create ~web ~sys ~pid in

@@ -17,12 +17,16 @@ let ok_fs = Helpers.ok_fs
    server mounted at /nfs0.  Everything shares one clock, so server disk
    time appears as client-visible latency. *)
 let pa_setup () =
-  let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "local" ] () in
+  let registry = Telemetry.create () in
+  let sys = System.create ~registry ~mode:System.Pass ~machine:1 ~volume_names:[ "local" ] () in
   let clock = System.clock sys in
-  let server = Server.create ~mode:Server.Pass_enabled ~clock ~machine:2 ~volume:"nfs0" () in
+  let server =
+    Server.create ~registry ~mode:Server.Pass_enabled ~clock ~machine:2 ~volume:"nfs0" ()
+  in
   let net = Proto.net clock in
   let client =
-    Client.create ~net ~handler:(Server.handle server) ~ctx:(Kernel.ctx (System.kernel sys))
+    Client.create ~registry ~net ~handler:(Server.handle server)
+      ~ctx:(Kernel.ctx (System.kernel sys))
       ~mount_name:"nfs0" ()
   in
   System.mount_external sys ~name:"nfs0" ~ops:(Client.ops client)
@@ -46,12 +50,14 @@ let read_via_kernel sys ~pid ~path =
   data
 
 let test_plain_nfs_roundtrip () =
-  let sys = System.create ~mode:System.Vanilla ~machine:1 ~volume_names:[ "local" ] () in
+  let registry = Telemetry.create () in
+  let sys = System.create ~registry ~mode:System.Vanilla ~machine:1 ~volume_names:[ "local" ] () in
   let clock = System.clock sys in
-  let server = Server.create ~mode:Server.Plain ~clock ~machine:2 ~volume:"nfs0" () in
+  let server = Server.create ~registry ~mode:Server.Plain ~clock ~machine:2 ~volume:"nfs0" () in
   let net = Proto.net clock in
   let client =
-    Client.create ~net ~handler:(Server.handle server) ~ctx:(Kernel.ctx (System.kernel sys))
+    Client.create ~registry ~net ~handler:(Server.handle server)
+      ~ctx:(Kernel.ctx (System.kernel sys))
       ~mount_name:"nfs0" ()
   in
   System.mount_external sys ~name:"nfs0" ~ops:(Client.ops client) ();
@@ -126,8 +132,8 @@ let test_large_write_uses_txn () =
   check tbool "a transaction was used" true ((Client.stats client).txns >= 1);
   let orphans = Server.drain server in
   check tint "no orphans" 0 orphans;
-  let w = Option.get (Server.waldo server) in
-  check tbool "txn committed" true ((Waldo.stats w).txns_committed >= 1);
+  check tbool "txn committed" true
+    (Helpers.count (System.telemetry sys) "waldo.txns_committed" >= 1);
   let db = Option.get (Server.db server) in
   let quads = Provdb.records_all db h.Dpapi.pnode in
   let params = List.filter (fun (q : Provdb.quad) -> q.q_attr = "PARAMS") quads in
@@ -161,12 +167,19 @@ let test_version_branching () =
   (* Two clients of one server, close-to-open consistency: both freeze the
      same file from the same base version and arrive at the same version
      number — version branching, which the paper accepts (§6.1.2). *)
+  let registry = Telemetry.create () in
   let clock = Simdisk.Clock.create () in
-  let server = Server.create ~mode:Server.Pass_enabled ~clock ~machine:9 ~volume:"nfs0" () in
+  let server =
+    Server.create ~registry ~mode:Server.Pass_enabled ~clock ~machine:9 ~volume:"nfs0" ()
+  in
   let net = Proto.net clock in
   let ctx1 = Ctx.create ~machine:11 and ctx2 = Ctx.create ~machine:12 in
-  let c1 = Client.create ~net ~handler:(Server.handle server) ~ctx:ctx1 ~mount_name:"nfs0" () in
-  let c2 = Client.create ~net ~handler:(Server.handle server) ~ctx:ctx2 ~mount_name:"nfs0" () in
+  let c1 =
+    Client.create ~registry ~net ~handler:(Server.handle server) ~ctx:ctx1 ~mount_name:"nfs0" ()
+  in
+  let c2 =
+    Client.create ~registry ~net ~handler:(Server.handle server) ~ctx:ctx2 ~mount_name:"nfs0" ()
+  in
   (* create the shared file via c1 *)
   let ino = ok_fs (Vfs.write_file (Client.ops c1) "/shared" "base") in
   let h1 = ok_fs (Client.file_handle c1 ino) in
@@ -188,14 +201,23 @@ let test_figure1_two_servers () =
      servers; inputs on server A, outputs on server B, intermediates local.
      The unified (merged) database answers the cross-layer ancestry query;
      each server's database alone cannot. *)
-  let sys = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "local" ] () in
+  let registry = Telemetry.create () in
+  let sys = System.create ~registry ~mode:System.Pass ~machine:1 ~volume_names:[ "local" ] () in
   let clock = System.clock sys in
   let ctx = Kernel.ctx (System.kernel sys) in
-  let server_a = Server.create ~mode:Server.Pass_enabled ~clock ~machine:21 ~volume:"nfsA" () in
-  let server_b = Server.create ~mode:Server.Pass_enabled ~clock ~machine:22 ~volume:"nfsB" () in
+  let server_a =
+    Server.create ~registry ~mode:Server.Pass_enabled ~clock ~machine:21 ~volume:"nfsA" ()
+  in
+  let server_b =
+    Server.create ~registry ~mode:Server.Pass_enabled ~clock ~machine:22 ~volume:"nfsB" ()
+  in
   let net = Proto.net clock in
-  let ca = Client.create ~net ~handler:(Server.handle server_a) ~ctx ~mount_name:"nfsA" () in
-  let cb = Client.create ~net ~handler:(Server.handle server_b) ~ctx ~mount_name:"nfsB" () in
+  let ca =
+    Client.create ~registry ~net ~handler:(Server.handle server_a) ~ctx ~mount_name:"nfsA" ()
+  in
+  let cb =
+    Client.create ~registry ~net ~handler:(Server.handle server_b) ~ctx ~mount_name:"nfsB" ()
+  in
   System.mount_external sys ~name:"nfsA" ~ops:(Client.ops ca) ~endpoint:(Client.endpoint ca)
     ~file_handle:(Client.file_handle ca)
     ~flush:(fun () -> Client.flush ca) ();
@@ -277,7 +299,7 @@ let test_server_disk_crash () =
        only disk-touching operations observe the crash *)
     Simdisk.Disk.revive (Server.disk server);
     let remounted = Ext3.mount (Server.disk server) in
-    let report = ok_fs (Recovery.scan (Ext3.ops remounted)) in
+    let report = ok_fs (Recovery.scan ~registry:(Telemetry.create ()) (Ext3.ops remounted)) in
     List.iter
       (fun (i : Recovery.inconsistency) ->
         check tbool
@@ -485,7 +507,7 @@ let test_server_crash_mid_txn () =
   Simdisk.Disk.revive (Server.disk server);
   (* recovery over the revived medium sees the half-finished transaction *)
   let remounted = Ext3.mount (Server.disk server) in
-  let report = ok_fs (Recovery.scan (Ext3.ops remounted)) in
+  let report = ok_fs (Recovery.scan ~registry:(Telemetry.create ()) (Ext3.ops remounted)) in
   check tbool "recovery reports the open txn" true (List.mem txn report.Recovery.open_txns);
   (* Waldo's orphan count matches the recovery report exactly *)
   let orphans = Server.drain server in
@@ -688,8 +710,11 @@ let print_wb_prog p =
 let wb_wire = Buffer.create 4096
 
 let run_wb_prog p =
+  let registry = Telemetry.create () in
   let clock = Simdisk.Clock.create () in
-  let server = Server.create ~mode:Server.Pass_enabled ~clock ~machine:2 ~volume:"nfs0" () in
+  let server =
+    Server.create ~registry ~mode:Server.Pass_enabled ~clock ~machine:2 ~volume:"nfs0" ()
+  in
   let net = Proto.net clock in
   let dgram = Buffer.create 256 in
   let handler c =
@@ -699,7 +724,7 @@ let run_wb_prog p =
     Server.handle server c
   in
   let client =
-    Client.create ~piggyback:p.wp_piggyback ~net ~handler ~ctx:(Ctx.create ~machine:1)
+    Client.create ~registry ~piggyback:p.wp_piggyback ~net ~handler ~ctx:(Ctx.create ~machine:1)
       ~mount_name:"nfs0" ()
   in
   let ops = Client.ops client in

@@ -96,15 +96,16 @@ let prop_storage_roundtrip =
   QCheck2.Test.make ~name:"records survive log -> Waldo intact" ~count:40
     QCheck2.Gen.(list_size (int_range 1 25) (pair gen_attr gen_value))
     (fun pairs ->
+      let registry = Telemetry.create () in
       let clock = Simdisk.Clock.create () in
-      let disk = Simdisk.Disk.create ~clock () in
+      let disk = Simdisk.Disk.create ~registry ~clock () in
       let ext3 = Ext3.format disk in
       let ctx = Ctx.create ~machine:1 in
       let lasagna =
-        Lasagna.create ~lower:(Ext3.ops ext3) ~ctx ~volume:"vol0"
+        Lasagna.create ~registry ~lower:(Ext3.ops ext3) ~ctx ~volume:"vol0"
           ~charge:(Simdisk.Clock.advance clock) ()
       in
-      let waldo = Waldo.create ~lower:(Ext3.ops ext3) () in
+      let waldo = Waldo.create ~registry ~lower:(Ext3.ops ext3) () in
       Waldo.attach waldo lasagna;
       let ep = Lasagna.endpoint lasagna in
       let h = match ep.pass_mkobj ~volume:(Some "vol0") with Ok h -> h | Error _ -> assert false in
@@ -139,7 +140,10 @@ let prop_distributor_invariant =
     (fun dops ->
       let ctx = Ctx.create ~machine:1 in
       let sink = Helpers.sink ctx in
-      let d = Distributor.create ~ctx ~lower:(Helpers.sink_endpoint sink) ~default_volume:"v" () in
+      let d =
+        Distributor.create ~registry:(Telemetry.create ()) ~ctx ~lower:(Helpers.sink_endpoint sink)
+          ~default_volume:"v" ()
+      in
       let ep = Distributor.endpoint d in
       let objs = ref [||] in
       let persisted_expected = Hashtbl.create 16 in

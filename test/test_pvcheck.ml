@@ -16,7 +16,7 @@ let fail_report what report =
 (* --- clean volumes: every tier-1 workload -------------------------------- *)
 
 let workload_db (w : Runner.workload) =
-  let sys = Runner.local_system System.Pass in
+  let sys = Runner.local_system ~registry:(Telemetry.create ()) System.Pass in
   w.Runner.run sys;
   ignore (System.drain sys : int);
   Option.get (System.waldo_db sys "vol0")
@@ -25,7 +25,7 @@ let test_clean_workloads () =
   List.iter
     (fun (w : Runner.workload) ->
       let db = workload_db w in
-      let report = Pvcheck.check_db ~volume:"vol0" db in
+      let report = Pvcheck.check_db ~registry:(Telemetry.create ()) ~volume:"vol0" db in
       if not (Pvcheck.clean report) then
         fail_report (w.Runner.wl_name ^ ": clean volume flagged") report;
       check tbool (w.Runner.wl_name ^ ": graph nonempty") true (report.Pvcheck.r_nodes > 0);
@@ -37,11 +37,12 @@ let test_clean_workloads () =
 (* --- mutation harness: each corruption class trips exactly its pass ------- *)
 
 let mutation_case db clazz =
+  let registry = Telemetry.create () in
   let cname = Pvmutate.name clazz in
-  let before = Pvcheck.check_db db in
+  let before = Pvcheck.check_db ~registry db in
   if not (Pvcheck.clean before) then fail_report (cname ^ ": dirty before injection") before;
   let desc = Pvmutate.inject db clazz in
-  let report = Pvcheck.check_db db in
+  let report = Pvcheck.check_db ~registry db in
   let expected = Pvmutate.flagged_by clazz in
   check tbool
     (Printf.sprintf "%s (%s): detected" cname desc)
@@ -82,15 +83,16 @@ let test_class_names_roundtrip () =
 (* --- offline fsck: persisted db + live WAP log + recovery agreement ------- *)
 
 let test_fsck_offline () =
+  let registry = Telemetry.create () in
   let clock = Simdisk.Clock.create () in
-  let disk = Simdisk.Disk.create ~clock () in
+  let disk = Simdisk.Disk.create ~registry ~clock () in
   let ext3 = Ext3.format disk in
   let lower = Ext3.ops ext3 in
   let ctx = Ctx.create ~machine:1 in
   let lasagna =
-    Lasagna.create ~lower ~ctx ~volume:"vol0" ~charge:(Simdisk.Clock.advance clock) ()
+    Lasagna.create ~registry ~lower ~ctx ~volume:"vol0" ~charge:(Simdisk.Clock.advance clock) ()
   in
-  let waldo = Waldo.create ~lower () in
+  let waldo = Waldo.create ~registry ~lower () in
   Waldo.attach waldo lasagna;
   let ep = Lasagna.endpoint lasagna in
   let h = Helpers.ok (ep.pass_mkobj ~volume:(Some "vol0")) in
@@ -104,23 +106,24 @@ let test_fsck_offline () =
        (Lasagna.write_txn_bundle ~txn:3 lasagna h ~off:0 ~data:None
           [ Dpapi.entry h [ Record.make "PARAMS" (Pvalue.Str "late") ] ])
       : int);
-  let report = Helpers.ok_fs (Pvcheck.fsck ~lower ~volume:"vol0" ()) in
+  let report = Helpers.ok_fs (Pvcheck.fsck ~registry ~lower ~volume:"vol0" ()) in
   check tbool "orphan-agreement ran" true
     (List.mem "orphan-agreement" report.Pvcheck.r_passes);
   if not (Pvcheck.clean report) then fail_report "offline fsck flagged a clean volume" report;
   check tbool "replayed log contributed records" true (report.Pvcheck.r_quads > 0)
 
 let test_fsck_empty_volume () =
-  let disk = Simdisk.Disk.create ~clock:(Simdisk.Clock.create ()) () in
+  let registry = Telemetry.create () in
+  let disk = Simdisk.Disk.create ~registry ~clock:(Simdisk.Clock.create ()) () in
   let ext3 = Ext3.format disk in
-  let report = Helpers.ok_fs (Pvcheck.fsck ~lower:(Ext3.ops ext3) ~volume:"vol0" ()) in
+  let report = Helpers.ok_fs (Pvcheck.fsck ~registry ~lower:(Ext3.ops ext3) ~volume:"vol0" ()) in
   check tbool "empty volume is clean" true (Pvcheck.clean report);
   check tint "no nodes" 0 report.Pvcheck.r_nodes
 
 let test_report_json_shape () =
   let db, _, _, _, _, _ = Test_pql.sample_db () in
   ignore (Pvmutate.inject db Pvmutate.Dangling_xref : string);
-  let report = Pvcheck.check_db ~volume:"vol0" db in
+  let report = Pvcheck.check_db ~registry:(Telemetry.create ()) ~volume:"vol0" db in
   let json = Pvcheck.report_to_json report in
   let open Telemetry.Json in
   (match member "schema" json with

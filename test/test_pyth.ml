@@ -42,7 +42,8 @@ let test_sxml_errors () =
 
 (* --- the language ------------------------------------------------------------ *)
 
-let pass_system () = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] ()
+let pass_system () = System.create ~registry:(Telemetry.create ()) ~mode:System.Pass ~machine:1
+    ~volume_names:[ "vol0" ] ()
 
 let fresh ?(provenance = false) () =
   let sys = pass_system () in

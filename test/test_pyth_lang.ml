@@ -9,7 +9,10 @@ let tbool = Alcotest.bool
 let tstr = Alcotest.string
 
 let run source =
-  let sys = System.create ~mode:System.Vanilla ~machine:1 ~volume_names:[ "vol0" ] () in
+  let sys =
+    System.create ~registry:(Telemetry.create ()) ~mode:System.Vanilla ~machine:1
+      ~volume_names:[ "vol0" ] ()
+  in
   let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
   let s = Pyth.create ~provenance:false sys ~pid () in
   Pyth.run s source;
@@ -117,7 +120,10 @@ let test_string_iteration () =
   check tstr "for over string" "a.b.c." (String.concat "." (String.split_on_char '\n' (run "for c in \"abc\":\n    print(c)\n")))
 
 let test_call_counting () =
-  let sys = System.create ~mode:System.Vanilla ~machine:1 ~volume_names:[ "vol0" ] () in
+  let sys =
+    System.create ~registry:(Telemetry.create ()) ~mode:System.Vanilla ~machine:1
+      ~volume_names:[ "vol0" ] ()
+  in
   let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
   let s = Pyth.create ~provenance:false sys ~pid () in
   Pyth.run s "def f():\n    return 1\nx = f() + f() + len(\"ab\")\n";

@@ -36,10 +36,14 @@ let read_file sys ~pid ~path =
   ok (Kernel.close (System.kernel sys) ~pid ~fd);
   Buffer.contents buf
 
-let pass_system () = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] ()
+let pass_system () = System.create ~registry:(Telemetry.create ()) ~mode:System.Pass ~machine:1
+    ~volume_names:[ "vol0" ] ()
 
 let test_vanilla_has_no_pass () =
-  let sys = System.create ~mode:System.Vanilla ~machine:1 ~volume_names:[ "vol0" ] () in
+  let sys =
+    System.create ~registry:(Telemetry.create ()) ~mode:System.Vanilla ~machine:1
+      ~volume_names:[ "vol0" ] ()
+  in
   check tbool "no pass stack" true (Kernel.pass_stack (System.kernel sys) = None);
   let pid = Kernel.fork (System.kernel sys) ~parent:Kernel.init_pid in
   write_file sys ~pid ~path:"/vol0/f" ~data:"hello";
@@ -73,12 +77,8 @@ let test_dedup_collapses_chunked_io () =
   let pid = Kernel.fork k ~parent:Kernel.init_pid in
   (* write 64 KB in 4 KB chunks: 16 write syscalls, one record needed *)
   write_file sys ~pid ~path:"/vol0/big" ~data:(Helpers.payload ~seed:2 ~len:65536);
-  let stats =
-    match Kernel.pass_stack k with
-    | Some s -> Pass_core.Analyzer.stats s.Kernel.analyzer
-    | None -> Alcotest.fail "pass stack missing"
-  in
-  check tbool "duplicates were dropped" true (stats.duplicates_dropped >= 14)
+  check tbool "duplicates were dropped" true
+    (Helpers.count (System.telemetry sys) "analyzer.duplicates_dropped" >= 14)
 
 let test_execve_records_argv () =
   let sys = pass_system () in
@@ -206,7 +206,9 @@ let test_provenance_outlives_deletion () =
 let test_pass_slower_than_vanilla () =
   (* the whole point of Table 2: PASS costs time, but not absurdly much *)
   let run mode =
-    let sys = System.create ~mode ~machine:1 ~volume_names:[ "vol0" ] () in
+    let sys =
+      System.create ~registry:(Telemetry.create ()) ~mode ~machine:1 ~volume_names:[ "vol0" ] ()
+    in
     let k = System.kernel sys in
     let pid = Kernel.fork k ~parent:Kernel.init_pid in
     for i = 0 to 30 do

@@ -15,7 +15,7 @@ let tstr = Alcotest.string
 
 let test_disk_rw () =
   let clock = Clock.create () in
-  let disk = Disk.create ~clock () in
+  let disk = Disk.create ~registry:(Telemetry.create ()) ~clock () in
   let b = String.make Disk.block_size 'x' in
   Disk.write_block disk 100 b;
   check tstr "block roundtrip" b (Disk.read_block disk 100);
@@ -25,14 +25,14 @@ let test_disk_rw () =
 
 let test_disk_bytes_api () =
   let clock = Clock.create () in
-  let disk = Disk.create ~clock () in
+  let disk = Disk.create ~registry:(Telemetry.create ()) ~clock () in
   let data = Helpers.payload ~seed:1 ~len:10_000 in
   Disk.write_bytes disk ~off:12345 data;
   check tstr "byte roundtrip spanning blocks" data (Disk.read_bytes disk ~off:12345 ~len:10_000)
 
 let test_disk_charges_time () =
   let clock = Clock.create () in
-  let disk = Disk.create ~clock () in
+  let disk = Disk.create ~registry:(Telemetry.create ()) ~clock () in
   Disk.write_bytes disk ~off:0 (String.make 4096 'a');
   let t1 = Clock.now clock in
   check tbool "I/O advanced the clock" true (t1 > 0);
@@ -48,7 +48,7 @@ let test_disk_seek_cost_monotone () =
   (* a longer seek costs more time *)
   let run distance =
     let clock = Clock.create () in
-    let disk = Disk.create ~clock () in
+    let disk = Disk.create ~registry:(Telemetry.create ()) ~clock () in
     Disk.write_bytes disk ~off:0 (String.make 4096 'a');
     let before = Clock.now clock in
     Disk.write_bytes disk ~off:(4096 * distance) (String.make 4096 'b');
@@ -58,7 +58,7 @@ let test_disk_seek_cost_monotone () =
 
 let test_disk_crash () =
   let clock = Clock.create () in
-  let disk = Disk.create ~clock () in
+  let disk = Disk.create ~registry:(Telemetry.create ()) ~clock () in
   Disk.write_bytes disk ~off:0 (String.make 4096 'a');
   Disk.schedule_crash disk ~after_writes:2;
   Disk.write_bytes disk ~off:4096 (String.make 4096 'b');
@@ -346,7 +346,7 @@ let test_ext3_large_file () =
 
 let test_ext3_journal_replay () =
   let clock = Clock.create () in
-  let disk = Disk.create ~clock () in
+  let disk = Disk.create ~registry:(Telemetry.create ()) ~clock () in
   let fs = Ext3.format disk in
   let ops = Ext3.ops fs in
   let _ = Helpers.ok_fs (Vfs.write_file ~mkparents:true ops "/dir/f1" "one") in
@@ -364,7 +364,7 @@ let test_ext3_journal_replay () =
 
 let test_ext3_replay_after_many_ops () =
   let clock = Clock.create () in
-  let disk = Disk.create ~clock () in
+  let disk = Disk.create ~registry:(Telemetry.create ()) ~clock () in
   let fs = Ext3.format disk in
   let ops = Ext3.ops fs in
   for i = 0 to 99 do
@@ -390,7 +390,7 @@ let test_ext3_journal_compaction () =
   (* a tiny journal forces snapshot compaction; state and data must
      survive it, including across a remount *)
   let clock = Clock.create () in
-  let disk = Disk.create ~clock () in
+  let disk = Disk.create ~registry:(Telemetry.create ()) ~clock () in
   let fs = Ext3.format ~jblocks:2 disk in
   let ops = Ext3.ops fs in
   for i = 0 to 120 do
@@ -425,7 +425,7 @@ let test_ext3_no_stale_frames_after_compaction () =
      them *)
   let mismatches = ref [] in
   for seed = 0 to 199 do
-    let disk = Disk.create ~clock:(Clock.create ()) () in
+    let disk = Disk.create ~registry:(Telemetry.create ()) ~clock:(Clock.create ()) () in
     let ops = Ext3.ops (Ext3.format ~jblocks:1 disk) in
     let r = Wk.rng seed in
     for _ = 1 to 300 + Wk.rand r 301 do
@@ -449,12 +449,14 @@ let test_ext3_no_stale_frames_after_compaction () =
 (* --- lasagna ------------------------------------------------------------- *)
 
 let fresh_lasagna () =
+  let registry = Telemetry.create () in
   let clock = Clock.create () in
-  let disk = Disk.create ~clock () in
+  let disk = Disk.create ~registry ~clock () in
   let ext3 = Ext3.format disk in
   let ctx = Ctx.create ~machine:1 in
   let lasagna =
-    Lasagna.create ~lower:(Ext3.ops ext3) ~ctx ~volume:"vol0" ~charge:(Clock.advance clock) ()
+    Lasagna.create ~registry ~lower:(Ext3.ops ext3) ~ctx ~volume:"vol0"
+      ~charge:(Clock.advance clock) ()
   in
   (clock, disk, ext3, ctx, lasagna)
 
@@ -500,13 +502,14 @@ let test_lasagna_wap_ordering () =
   Disk.revive disk;
   ignore (ext3 : Ext3.t);
   let remounted = Ext3.mount disk in
-  let report = Helpers.ok_fs (Recovery.scan (Ext3.ops remounted)) in
+  let report = Helpers.ok_fs (Recovery.scan ~registry:(Telemetry.create ()) (Ext3.ops remounted)) in
   check tbool "recovery found the in-flight write" true (List.length report.inconsistent >= 1);
   let inc = List.hd report.inconsistent in
   check tbool "right object flagged" true (Pnode.equal inc.Recovery.i_pnode h.pnode)
 
 let test_lasagna_recovery_clean () =
   (* With no crash, recovery over the same logs reports nothing. *)
+  let registry = Telemetry.create () in
   let _clock, disk, _ext3, _ctx, lasagna = fresh_lasagna () in
   let ops = Lasagna.ops lasagna in
   let ino = Helpers.ok_fs (Vfs.create_path ops "/ok" Vfs.Regular) in
@@ -516,12 +519,14 @@ let test_lasagna_recovery_clean () =
     Helpers.ok (ep.pass_write h ~off:0 ~data:(Some "consistent") [ Dpapi.entry h [] ])
   in
   let remounted = Ext3.mount disk in
-  let report = Helpers.ok_fs (Recovery.scan (Ext3.ops remounted)) in
+  let report = Helpers.ok_fs (Recovery.scan ~registry (Ext3.ops remounted)) in
   check tint "nothing inconsistent" 0 (List.length report.inconsistent);
   check tbool "frames were scanned" true (report.frames_ok > 0);
   (* the same volume passes the offline graph verifier, replaying the
      still-unconsumed WAP log through the production ingest path *)
-  let vreport = Helpers.ok_fs (Pvcheck.fsck ~lower:(Ext3.ops remounted) ~volume:"vol0" ()) in
+  let vreport =
+    Helpers.ok_fs (Pvcheck.fsck ~registry ~lower:(Ext3.ops remounted) ~volume:"vol0" ())
+  in
   check tbool "orphan-agreement ran" true (List.mem "orphan-agreement" vreport.Pvcheck.r_passes);
   if not (Pvcheck.clean vreport) then
     Alcotest.failf "pvcheck after clean recovery:@ %a" Pvcheck.pp_report vreport
@@ -538,18 +543,19 @@ let test_lasagna_overwrite_recovery_clean () =
   (* same version, overlapping range, empty bundle *)
   let _ = Helpers.ok (ep.pass_write h ~off:0 ~data:(Some "second!") []) in
   let remounted = Ext3.mount disk in
-  let report = Helpers.ok_fs (Recovery.scan (Ext3.ops remounted)) in
+  let report = Helpers.ok_fs (Recovery.scan ~registry:(Telemetry.create ()) (Ext3.ops remounted)) in
   check tint "no false inconsistency after overwrite" 0 (List.length report.inconsistent)
 
 let test_lasagna_dormancy_rotation () =
   (* the paper's second rotation trigger: a dormant log closes on the
      next append *)
+  let registry = Telemetry.create () in
   let clock = Clock.create () in
-  let disk = Simdisk.Disk.create ~clock () in
+  let disk = Simdisk.Disk.create ~registry ~clock () in
   let ext3 = Ext3.format disk in
   let ctx = Ctx.create ~machine:1 in
   let lasagna =
-    Lasagna.create ~idle_ns:1_000_000 ~now:(fun () -> Clock.now clock)
+    Lasagna.create ~registry ~idle_ns:1_000_000 ~now:(fun () -> Clock.now clock)
       ~lower:(Ext3.ops ext3) ~ctx ~volume:"vol0" ~charge:(Clock.advance clock) ()
   in
   let closed = ref 0 in
@@ -573,11 +579,12 @@ let test_lasagna_provenance_survives_rename () =
 
 let test_lasagna_log_rotation () =
   let clock = Clock.create () in
-  let disk = Disk.create ~clock () in
+  let registry = Telemetry.create () in
+  let disk = Disk.create ~registry ~clock () in
   let ext3 = Ext3.format disk in
   let ctx = Ctx.create ~machine:1 in
   let lasagna =
-    Lasagna.create ~log_max:512 ~lower:(Ext3.ops ext3) ~ctx ~volume:"vol0"
+    Lasagna.create ~registry ~log_max:512 ~lower:(Ext3.ops ext3) ~ctx ~volume:"vol0"
       ~charge:(Clock.advance clock) ()
   in
   let closed = ref [] in
@@ -588,7 +595,7 @@ let test_lasagna_log_rotation () =
     ()
   done;
   check tbool "logs rotated" true (List.length !closed > 0);
-  check tbool "rotation count matches" true ((Lasagna.stats lasagna).rotations = List.length !closed)
+  check tint "rotation count matches" (List.length !closed) (Helpers.count registry "wap.rotations")
 
 let test_lasagna_mkobj_revive () =
   let _clock, _disk, _ext3, ctx, lasagna = fresh_lasagna () in
@@ -611,12 +618,13 @@ let prop_wap_crash_safety =
   QCheck2.Test.make ~name:"WAP: crash anywhere, recovery exact" ~count:40
     QCheck2.Gen.(pair (int_range 1 60) (int_bound 10_000))
     (fun (crash_after, seed) ->
+      let registry = Telemetry.create () in
       let clock = Clock.create () in
-      let disk = Disk.create ~clock () in
+      let disk = Disk.create ~registry ~clock () in
       let ext3 = Ext3.format disk in
       let ctx = Ctx.create ~machine:1 in
       let lasagna =
-        Lasagna.create ~lower:(Ext3.ops ext3) ~ctx ~volume:"vol0"
+        Lasagna.create ~registry ~lower:(Ext3.ops ext3) ~ctx ~volume:"vol0"
           ~charge:(Clock.advance clock) ()
       in
       let ops = Lasagna.ops lasagna in
@@ -644,7 +652,7 @@ let prop_wap_crash_safety =
        with Stdlib.Exit -> ());
       Simdisk.Disk.revive disk;
       let remounted = Ext3.mount disk in
-      match Recovery.scan (Ext3.ops remounted) with
+      match Recovery.scan ~registry (Ext3.ops remounted) with
       | Error _ -> false
       | Ok report ->
           List.for_all

@@ -1,7 +1,7 @@
 (* Telemetry tests: instrument semantics (counters, gauges, histograms,
-   spans), the JSON snapshot encoder and its parser, and an end-to-end
-   check that a small simos workload populates the analyzer.* and wap.*
-   instruments in agreement with the legacy stats views. *)
+   spans), the JSON snapshot encoder and its parser, an end-to-end check
+   that a small simos workload populates the analyzer.* and wap.*
+   instruments, and that caller-owned registries stay isolated. *)
 
 let check = Alcotest.check
 let tint = Alcotest.int
@@ -284,36 +284,61 @@ let prop_histogram_rank_error =
 
 (* --- end to end through the pipeline ----------------------------------------- *)
 
-let test_pipeline_instruments () =
-  let registry = Telemetry.create () in
+let kepler_pass_run registry =
   let sys =
     System.create ~registry ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] ()
   in
   Kepler_wl.run sys ~parent:Kernel.init_pid;
   ignore (System.drain sys : int);
-  let stack = Option.get (Kernel.pass_stack (System.kernel sys)) in
-  let an = Pass_core.Analyzer.stats stack.Kernel.analyzer in
-  let vol = List.hd (System.volumes sys) in
-  let las = Lasagna.stats (Option.get vol.System.v_lasagna) in
+  sys
+
+let test_pipeline_instruments () =
+  let registry = Telemetry.create () in
+  let sys = kepler_pass_run registry in
   let tv name = Option.get (Telemetry.counter_value registry name) in
-  check tbool "analyzer did work" true (an.Pass_core.Analyzer.records_in > 0);
-  check tint "analyzer.records_in matches stats view"
-    an.Pass_core.Analyzer.records_in (tv "analyzer.records_in");
-  check tint "analyzer.duplicates_dropped matches stats view"
-    an.Pass_core.Analyzer.duplicates_dropped (tv "analyzer.duplicates_dropped");
-  check tbool "wap logged frames" true (las.Lasagna.frames_logged > 0);
-  check tint "wap.frames_written matches stats view"
-    las.Lasagna.frames_logged (tv "wap.frames_written");
-  check tint "wap.bytes_written matches stats view"
-    las.Lasagna.prov_bytes_logged (tv "wap.bytes_written");
+  check tbool "analyzer did work" true (tv "analyzer.records_in" > 0);
+  check tbool "wap logged frames" true (tv "wap.frames_written" > 0);
+  (* Table 3 charges each volume its own WAP bytes; on a one-volume
+     machine that is the registry total *)
+  let vol = List.hd (System.volumes sys) in
+  check tint "volume WAP bytes are the registry's"
+    (tv "wap.bytes_written")
+    (Lasagna.wap_bytes_written (Option.get vol.System.v_lasagna));
+  check tint "space accounting reads the same counter"
+    (tv "wap.bytes_written") (System.space sys).System.sp_prov_log_bytes;
   (* the DPAPI hot-path spans saw every pass_write the observer forwarded *)
   let ws = Option.get (Telemetry.histogram_summary registry "dpapi.pass_write_ns") in
   check tbool "pass_write span observed" true (ws.Telemetry.count > 0);
   let aps = Option.get (Telemetry.histogram_summary registry "wap.append_ns") in
-  check tbool "wap append span observed" true (aps.Telemetry.count > 0);
-  (* and the default registry saw none of it *)
-  check tbool "isolated from default registry" true
-    (Telemetry.counter_value registry "no.such" = None)
+  check tbool "wap append span observed" true (aps.Telemetry.count > 0)
+
+(* Registries are owned by their callers: two machines running the same
+   workload on separate registries report identical snapshots, and the
+   second run cannot reach the first registry (an ambient shared registry
+   made snapshots depend on run order).  A measured row's registry holds
+   the PASS run alone: it reads exactly like a lone PASS run's. *)
+let test_registry_isolation () =
+  let first = Telemetry.create () in
+  ignore (kepler_pass_run first : System.t);
+  let snap1 = Telemetry.to_json first in
+  let second = Telemetry.create () in
+  ignore (kepler_pass_run second : System.t);
+  check Alcotest.string "same workload, same snapshot" snap1 (Telemetry.to_json second);
+  check Alcotest.string "second run leaves the first registry alone" snap1
+    (Telemetry.to_json first);
+  let w =
+    List.find
+      (fun w -> String.equal w.Runner.wl_name "PA-Kepler")
+      (Runner.standard ~scale:0.1 ())
+  in
+  let measured = Telemetry.create () in
+  ignore (Runner.measure_local ~registry:measured w : Runner.row);
+  let lone = Telemetry.create () in
+  let sys = Runner.local_system ~registry:lone System.Pass in
+  w.Runner.run sys;
+  ignore (System.drain sys : int);
+  check Alcotest.string "measure_local keeps only the PASS run" (Telemetry.to_json lone)
+    (Telemetry.to_json measured)
 
 let suite =
   [
@@ -335,4 +360,5 @@ let suite =
       ~rand:(Random.State.make [| 0x5eed |])
       prop_histogram_rank_error;
     Alcotest.test_case "pipeline instruments" `Quick test_pipeline_instruments;
+    Alcotest.test_case "registry isolation" `Quick test_registry_isolation;
   ]

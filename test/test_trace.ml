@@ -212,8 +212,11 @@ let test_export_determinism () =
 (* --- through the real pipeline ------------------------------------------------- *)
 
 let test_pipeline_spans () =
+  let registry = Telemetry.create () in
   let t = Pvtrace.create () in
-  let sys = System.create ~tracer:t ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] () in
+  let sys =
+    System.create ~registry ~tracer:t ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] ()
+  in
   let k = System.kernel sys in
   let pid = Kernel.fork k ~parent:Kernel.init_pid in
   let fd =
@@ -243,7 +246,7 @@ let test_pipeline_spans () =
         (sp.Pvtrace.sp_parent = 0 || List.mem sp.Pvtrace.sp_parent ids))
     (Pvtrace.spans t);
   (* disabled tracer on the same workload records nothing *)
-  let sys' = System.create ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] () in
+  let sys' = System.create ~registry ~mode:System.Pass ~machine:1 ~volume_names:[ "vol0" ] () in
   let k' = System.kernel sys' in
   let pid' = Kernel.fork k' ~parent:Kernel.init_pid in
   (match Kernel.open_file k' ~pid:pid' ~path:"/vol0/f" ~create:true with

@@ -265,7 +265,7 @@ let prop_ext3_replay_matches_model =
   QCheck2.Test.make ~name:"ext3 journal replay preserves the model" ~count:30 gen_ops
     (fun ops_list ->
       let clock = Simdisk.Clock.create () in
-      let disk = Simdisk.Disk.create ~clock () in
+      let disk = Simdisk.Disk.create ~registry:(Telemetry.create ()) ~clock () in
       let fs = Ext3.format disk in
       let ops = Ext3.ops fs in
       let model : (int, string) Hashtbl.t = Hashtbl.create 16 in

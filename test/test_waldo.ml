@@ -8,21 +8,25 @@ let check = Alcotest.check
 let tint = Alcotest.int
 let tbool = Alcotest.bool
 
-let fresh () =
+(* One Lasagna volume with its Waldo, reporting into [registry]. *)
+let fresh_in registry =
   let clock = Simdisk.Clock.create () in
-  let disk = Simdisk.Disk.create ~clock () in
+  let disk = Simdisk.Disk.create ~registry ~clock () in
   let ext3 = Ext3.format disk in
   let ctx = Ctx.create ~machine:1 in
   let lasagna =
-    Lasagna.create ~lower:(Ext3.ops ext3) ~ctx ~volume:"vol0"
+    Lasagna.create ~registry ~lower:(Ext3.ops ext3) ~ctx ~volume:"vol0"
       ~charge:(Simdisk.Clock.advance clock) ()
   in
-  let waldo = Waldo.create ~lower:(Ext3.ops ext3) () in
+  let waldo = Waldo.create ~registry ~lower:(Ext3.ops ext3) () in
   Waldo.attach waldo lasagna;
   (ctx, ext3, lasagna, waldo)
 
+let fresh () = fresh_in (Telemetry.create ())
+
 let test_ingestion_fidelity () =
-  let ctx, _ext3, lasagna, waldo = fresh () in
+  let registry = Telemetry.create () in
+  let ctx, _ext3, lasagna, waldo = fresh_in registry in
   let ep = Lasagna.endpoint lasagna in
   let h = Helpers.ok (ep.pass_mkobj ~volume:(Some "vol0")) in
   let records =
@@ -36,7 +40,7 @@ let test_ingestion_fidelity () =
   check tint "all records ingested" 3 (List.length quads);
   check tbool "content preserved" true
     (List.exists (fun (q : Provdb.quad) -> q.q_value = Pvalue.Str "the-widget") quads);
-  check tint "stats count" 3 (Waldo.stats waldo).records_ingested;
+  check tint "counter agrees" 3 (Helpers.count registry "waldo.records_ingested");
   ignore (ctx : Ctx.t)
 
 let test_freeze_version_attribution () =
@@ -59,7 +63,8 @@ let test_freeze_version_attribution () =
   ignore (ctx : Ctx.t)
 
 let test_logs_removed_after_processing () =
-  let _ctx, ext3, lasagna, waldo = fresh () in
+  let registry = Telemetry.create () in
+  let _ctx, ext3, lasagna, waldo = fresh_in registry in
   let ep = Lasagna.endpoint lasagna in
   for i = 0 to 30 do
     let h = Helpers.ok (ep.pass_mkobj ~volume:(Some "vol0")) in
@@ -71,10 +76,11 @@ let test_logs_removed_after_processing () =
   let pass_dir = Helpers.ok_fs (Vfs.lookup_path lower "/.pass") in
   let names = Helpers.ok_fs (lower.readdir pass_dir) in
   check tbool "processed logs were deleted" true (List.length names <= 1);
-  check tbool "logs were processed" true ((Waldo.stats waldo).logs_processed >= 1)
+  check tbool "logs were processed" true (Helpers.count registry "waldo.logs_processed" >= 1)
 
 let test_txn_commit () =
-  let _ctx, _ext3, lasagna, waldo = fresh () in
+  let registry = Telemetry.create () in
+  let _ctx, _ext3, lasagna, waldo = fresh_in registry in
   let ep = Lasagna.endpoint lasagna in
   let h = Helpers.ok (ep.pass_mkobj ~volume:(Some "vol0")) in
   (* write two chunks inside txn 7, then the ENDTXN *)
@@ -96,7 +102,7 @@ let test_txn_commit () =
       : int);
   let orphans = Waldo.finalize waldo lasagna in
   check tint "no orphans" 0 orphans;
-  check tint "txn committed" 1 (Waldo.stats waldo).txns_committed;
+  check tint "txn committed" 1 (Helpers.count registry "waldo.txns_committed");
   let quads = Provdb.records_all (Waldo.db waldo) h.Dpapi.pnode in
   check tbool "txn contents ingested" true
     (List.exists (fun (q : Provdb.quad) -> q.q_value = Pvalue.Str "one") quads
@@ -171,7 +177,10 @@ let test_persist_and_load () =
   ignore (Waldo.finalize waldo lasagna : int);
   (* daemon writes its database to disk and "restarts" *)
   Helpers.ok_fs (Waldo.persist waldo ~dir:"/waldo-db");
-  let reborn = Helpers.ok_fs (Waldo.load ~lower:(Ext3.ops ext3) ~dir:"/waldo-db" ()) in
+  let reborn =
+    Helpers.ok_fs (Waldo.load ~registry:(Telemetry.create ()) ~lower:(Ext3.ops ext3)
+      ~dir:"/waldo-db" ())
+  in
   let db = Waldo.db reborn in
   check tint "name index rebuilt" 1 (List.length (Provdb.find_by_name db "persisted-obj"));
   let quads = Provdb.records_all db h.Dpapi.pnode in
@@ -257,15 +266,16 @@ let test_opm_export () =
    the plug at a chosen write tick. *)
 
 let fresh_ckpt ?policy ?compact_keep ?(log_max = 512) () =
+  let registry = Telemetry.create () in
   let clock = Simdisk.Clock.create () in
-  let disk = Simdisk.Disk.create ~clock () in
+  let disk = Simdisk.Disk.create ~registry ~clock () in
   let ext3 = Ext3.format disk in
   let ctx = Ctx.create ~machine:1 in
   let lasagna =
-    Lasagna.create ~log_max ~lower:(Ext3.ops ext3) ~ctx ~volume:"vol0"
+    Lasagna.create ~registry ~log_max ~lower:(Ext3.ops ext3) ~ctx ~volume:"vol0"
       ~charge:(Simdisk.Clock.advance clock) ()
   in
-  let waldo = Waldo.create ?policy ?compact_keep ~lower:(Ext3.ops ext3) () in
+  let waldo = Waldo.create ~registry ?policy ?compact_keep ~lower:(Ext3.ops ext3) () in
   Waldo.attach waldo lasagna;
   ignore (ctx : Ctx.t);
   (disk, ext3, lasagna, waldo)
@@ -311,7 +321,10 @@ let test_persist_atomic_under_crash () =
     | Ok () | Error _ -> ());
     Simdisk.Disk.revive disk;
     let ext3 = Ext3.mount disk in
-    let reborn = Helpers.ok_fs (Waldo.load ~lower:(Ext3.ops ext3) ~dir:"/waldo-db" ()) in
+    let reborn =
+      Helpers.ok_fs
+        (Waldo.load ~registry:(Telemetry.create ()) ~lower:(Ext3.ops ext3) ~dir:"/waldo-db" ())
+    in
     let quads = Provdb.records_all (Waldo.db reborn) h.Dpapi.pnode in
     let n = List.length quads in
     if n <> 2 && n <> 3 then
@@ -321,7 +334,7 @@ let test_persist_atomic_under_crash () =
   let _disk, ext3, _waldo, _h = populate () in
   let lower = Ext3.ops ext3 in
   ignore (Helpers.ok_fs (Vfs.write_file lower "/waldo-db/db.dat" "garbage") : Vfs.ino);
-  match Waldo.load ~lower ~dir:"/waldo-db" () with
+  match Waldo.load ~registry:(Telemetry.create ()) ~lower ~dir:"/waldo-db" () with
   | Error Vfs.EIO -> ()
   | Ok _ -> Alcotest.fail "tampered image accepted"
   | Error e -> Alcotest.failf "unexpected errno %s" (Vfs.errno_to_string e)
@@ -403,7 +416,9 @@ let test_checkpoint_recover_roundtrip () =
   Simdisk.Disk.crash disk;
   Simdisk.Disk.revive disk;
   let ext3 = Ext3.mount disk in
-  let w2, info = Helpers.ok_fs (Waldo.recover ~lower:(Ext3.ops ext3) ()) in
+  let w2, info =
+    Helpers.ok_fs (Waldo.recover ~registry:(Telemetry.create ()) ~lower:(Ext3.ops ext3) ())
+  in
   check tbool "manifest found" true info.Waldo.ri_manifest;
   check tint "recovered generation" 1 info.Waldo.ri_gen;
   check tint "covered logs already truncated" 0 info.Waldo.ri_logs_skipped;
@@ -494,7 +509,8 @@ let golden_dump lower db names =
     (Provdb.edge_count db) (Provdb.file_count db) (Provdb.db_bytes db) (Provdb.index_bytes db)
     (Provdb.has_cold db) (Provdb.cold_loaded db);
   (match Helpers.ok_fs (Checkpoint.read_manifest lower ~dir:"/.waldo") with
-  | Some m -> Archive.install_handler lower ~dir:"/.waldo" ~segments:m.Checkpoint.m_archives db
+  | Some m -> Archive.install_handler ~registry:(Telemetry.create ()) lower ~dir:"/.waldo"
+      ~segments:m.Checkpoint.m_archives db
   | None -> ());
   Buffer.contents b
 
@@ -506,23 +522,24 @@ let golden_dump lower db names =
    and recovery after round 4.  Returns the trace: every published file,
    the byte counters after every round, and a dump of the db. *)
 let golden_trace ~policy ?compact_keep () =
+  let registry = Telemetry.create () in
   let trace = Buffer.create 4096 in
   let note s =
     Buffer.add_string trace s;
     Buffer.add_char trace '\n'
   in
   let clock = Simdisk.Clock.create () in
-  let disk = Simdisk.Disk.create ~clock () in
+  let disk = Simdisk.Disk.create ~registry ~clock () in
   let mount ext3 machine =
     let lasagna =
-      Lasagna.create ~log_max:256 ~lower:(Ext3.ops ext3) ~ctx:(Ctx.create ~machine)
+      Lasagna.create ~registry ~log_max:256 ~lower:(Ext3.ops ext3) ~ctx:(Ctx.create ~machine)
         ~volume:"vol0" ~charge:(Simdisk.Clock.advance clock) ()
     in
     (lasagna, Lasagna.endpoint lasagna, publishing_ops (Ext3.ops ext3) note)
   in
   let lasagna, ep, lower = mount (Ext3.format disk) 1 in
   let lasagna = ref lasagna and ep = ref ep and lower = ref lower in
-  let waldo = ref (Waldo.create ~policy ?compact_keep ~lower:!lower ()) in
+  let waldo = ref (Waldo.create ~registry ~policy ?compact_keep ~lower:!lower ()) in
   Waldo.attach !waldo !lasagna;
   let objs = ref [||] and first = ref 0 and versions = Hashtbl.create 64 in
   let names = ref [] in
@@ -601,7 +618,7 @@ let golden_trace ~policy ?compact_keep () =
       lasagna := l;
       ep := e;
       lower := lw;
-      let w, info = Helpers.ok_fs (Waldo.recover ~policy ?compact_keep ~lower:lw ()) in
+      let w, info = Helpers.ok_fs (Waldo.recover ~registry ~policy ?compact_keep ~lower:lw ()) in
       note (Printf.sprintf "recovered gen %d archives %d" info.Waldo.ri_gen info.Waldo.ri_archives);
       waldo := w;
       first := Array.length !objs;
@@ -681,7 +698,9 @@ let test_log_seq_exact () =
   Simdisk.Disk.crash disk;
   Simdisk.Disk.revive disk;
   let lower = Ext3.ops (Ext3.mount disk) in
-  let _w, info = Helpers.ok_fs (Waldo.recover ~policy:Waldo.Manual ~lower ()) in
+  let _w, info =
+    Helpers.ok_fs (Waldo.recover ~registry:(Telemetry.create ()) ~policy:Waldo.Manual ~lower ())
+  in
   check tbool "a suffix was logged" true (suffix <> []);
   check tint "only the real suffix logs are replayed" (List.length suffix) info.Waldo.ri_logs_replayed;
   check tint "nothing covered was left" 0 info.Waldo.ri_logs_skipped;
@@ -791,11 +810,14 @@ let prop_live_is_rebuild =
          the archive afterwards; the run without probes keeps Waldo's own
          handler, whose fault-ins must restore the whole history. *)
       let run ~probe =
-        let fs () = Ext3.ops (Ext3.format (Simdisk.Disk.create ~clock:(Simdisk.Clock.create ()) ())) in
+        let registry = Telemetry.create () in
+        let fs () =
+          Ext3.ops (Ext3.format (Simdisk.Disk.create ~registry ~clock:(Simdisk.Clock.create ()) ()))
+        in
         let lower = fs () in
-        let w = Waldo.create ~policy:Waldo.Manual ?compact_keep ~lower () in
+        let w = Waldo.create ~registry ~policy:Waldo.Manual ?compact_keep ~lower () in
         (* the same frames, never compacted: the whole history *)
-        let shadow = Waldo.create ~lower:(fs ()) () in
+        let shadow = Waldo.create ~registry ~lower:(fs ()) () in
         let objs = ref [||] and versions = Hashtbl.create 16 in
         let obj i = !objs.(i mod Array.length !objs) in
         let version p = Option.value (Hashtbl.find_opt versions p) ~default:0 in
@@ -824,7 +846,8 @@ let prop_live_is_rebuild =
               | Ok () -> ()
               | Error e -> QCheck2.Test.fail_reportf "verify_indexes: %s" e
             end;
-            Archive.install_handler lower ~dir:"/.waldo" ~segments:m.Checkpoint.m_archives db
+            Archive.install_handler ~registry lower ~dir:"/.waldo"
+                ~segments:m.Checkpoint.m_archives db
           end
         in
         let step = function

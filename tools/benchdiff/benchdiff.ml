@@ -1,25 +1,34 @@
 (* benchdiff: the CI perf-regression gate.
 
    Compares the overhead_pct of every workload in a BENCH_results.json
-   run against the checked-in BENCH_baseline.json and exits non-zero if
-   any overhead regressed beyond tolerance.  Only regressions fail:
-   improvements are reported (with a nudge to refresh the baseline when
-   they are large) but never block.
+   run against the checked-in BENCH_baseline.json, then checks every
+   pinned field the baseline lists, and exits non-zero if anything
+   regressed beyond tolerance.  Only regressions fail: improved overheads
+   are reported (with a nudge to refresh the baseline when they are
+   large) but never block.
 
      benchdiff BENCH_baseline.json BENCH_results.json
      benchdiff --tolerance 10 --slack 1.5 baseline.json current.json
 
-   A row regresses when BOTH hold:
+   An overhead row regresses when BOTH hold:
      current > baseline * (1 + tolerance/100)   (relative: default 20%)
      current > baseline + slack                 (absolute percentage
                                                  points: default 2.0)
    The absolute floor keeps near-zero overheads (Blast at ~1.5%) from
    tripping the relative gate on simulation noise.
 
-   The baseline stores overheads per scale ("0.1" for the CI smoke run,
-   "1.0" for the full run); the current file's "scale" field selects
-   which column to compare.  Defaults for tolerance/slack come from the
-   baseline file itself so the policy is versioned with the numbers. *)
+   A pin is {"path", "bound", "value", "slack"}: the dotted path of a
+   number in the results file, whether [value] is its ceiling ("max") or
+   floor ("min"), and the pin's own absolute slack.  It regresses by the
+   rows' rule: past value * (1 ± tolerance/100) and past value ± slack.
+   A results file without a pinned path is an error (exit 2), never a
+   silent pass.
+
+   The baseline stores overheads and pins per scale ("0.1" for the CI
+   smoke run, "1.0" for the full run); the current file's "scale" field
+   selects which column to compare.  Defaults for tolerance/slack come
+   from the baseline file itself so the policy is versioned with the
+   numbers. *)
 
 module Json = Telemetry.Json
 
@@ -71,12 +80,12 @@ let parse_current path j =
   in
   (scale, rows)
 
-(* --- the baseline: BENCH_baseline.json (pass-bench-baseline/v1) ------------ *)
+(* --- the baseline: BENCH_baseline.json (pass-bench-baseline/v2) ------------ *)
 
 let parse_baseline path j =
   (match Json.member "schema" j with
-  | Some (Json.Str "pass-bench-baseline/v1") -> ()
-  | _ -> die "%s: not a pass-bench-baseline/v1 file" path);
+  | Some (Json.Str "pass-bench-baseline/v2") -> ()
+  | _ -> die "%s: not a pass-bench-baseline/v2 file" path);
   let scales =
     match Json.member "scales" j with
     | Some (Json.Obj kvs) -> kvs
@@ -99,7 +108,44 @@ let baseline_for_scale path scales scale =
       die "%s: no baseline for scale %g (have: %s)" path scale
         (String.concat ", " (List.map fst scales))
 
+type bound = Max | Min
+type pin = { path : string; bound : bound; value : float; slack : float }
+
+let parse_pins path column =
+  let pin j =
+    let field key = match get_number key j with
+      | Some f -> f
+      | None -> die "%s: pin without a numeric %s" path key
+    in
+    match (Json.member "path" j, Json.member "bound" j) with
+    | Some (Json.Str p), Some (Json.Str b) ->
+        let bound =
+          match b with
+          | "max" -> Max
+          | "min" -> Min
+          | _ -> die "%s: pin %s: bound %S is neither max nor min" path p b
+        in
+        { path = p; bound; value = field "value"; slack = field "slack" }
+    | _ -> die "%s: pin without a path and a bound" path
+  in
+  match List.assoc_opt "pins" column with
+  | None -> []
+  | Some (Json.List ps) -> List.map pin ps
+  | Some _ -> die "%s: pins is not a list" path
+
+(* The number at a dotted path of the results file. *)
+let lookup path j =
+  let step acc key = Option.bind acc (Json.member key) in
+  Option.bind (List.fold_left step (Some j) (String.split_on_char '.' path)) number
+
 (* --- comparison -------------------------------------------------------------- *)
+
+(* [current] is past [value] on the [bound] side by more than both the
+   relative tolerance and the absolute slack. *)
+let past bound ~tolerance ~slack ~value current =
+  match bound with
+  | Max -> current > value *. (1. +. (tolerance /. 100.)) && current > value +. slack
+  | Min -> current < value *. (1. -. (tolerance /. 100.)) && current < value -. slack
 
 type verdict = Ok_ | Improved | Regressed | New
 
@@ -107,15 +153,13 @@ let compare_row ~tolerance ~slack ~baseline (r : row) =
   let one side current =
     match Option.bind (List.assoc_opt r.name baseline) (get_number side) with
     | None -> (New, current, nan)
-    | Some base ->
+    | Some value ->
         let v =
-          if current > (base *. (1. +. (tolerance /. 100.))) && current > base +. slack then
-            Regressed
-          else if current < (base *. (1. -. (tolerance /. 100.))) && current < base -. slack
-          then Improved
+          if past Max ~tolerance ~slack ~value current then Regressed
+          else if past Min ~tolerance ~slack ~value current then Improved
           else Ok_
         in
-        (v, current, base)
+        (v, current, value)
   in
   [ ("local", one "local_overhead_pct" r.local_pct);
     ("nfs", one "nfs_overhead_pct" r.nfs_pct) ]
@@ -145,6 +189,7 @@ let () =
     match (!slack_arg, file_slack) with Some s, _ -> s | None, Some s -> s | None, None -> 2.
   in
   let baseline = baseline_for_scale baseline_path scales scale in
+  let pins = parse_pins baseline_path baseline in
   Printf.printf "benchdiff: scale %g, tolerance %g%%, slack %g points\n" scale tolerance slack;
   Printf.printf "%-20s %-6s %10s %10s %8s  %s\n" "workload" "side" "baseline" "current" "delta"
     "verdict";
@@ -172,105 +217,26 @@ let () =
               (current -. base) verdict note)
         (compare_row ~tolerance ~slack ~baseline r))
     rows;
-  (* Recovery-time gate: bounded restart means the checkpointed replay
-     suffix must not grow; compare its frame count against the baseline.
-     Skipped (reported as "new") when the baseline predates the bench's
-     recovery section, so old baselines keep working. *)
-  (match List.assoc_opt "recovery" baseline with
-  | None ->
-      Printf.printf "%-20s %-6s %10s %10s %8s  new (no baseline entry)\n" "recovery"
-        "replay" "-" "-" "-"
-  | Some rb -> (
-      let base =
-        match get_number "replay_frames_max" rb with
-        | Some b -> b
-        | None -> die "%s: recovery entry without replay_frames_max" baseline_path
+  (* Pins: one-sided bounds on other sections of the run (recovery replay
+     length, monitor overhead, query speedup, ...), in baseline order. *)
+  List.iter
+    (fun { path; bound; value; slack } ->
+      let current =
+        match lookup path current_json with
+        | Some c -> c
+        | None -> die "%s: no %s (old bench binary?)" current_path path
       in
-      match
-        Option.bind (Json.member "recovery" current_json)
-          (get_number "replay_frames_max")
-      with
-      | None -> die "%s: no recovery.replay_frames_max (old bench binary?)" current_path
-      | Some current ->
-          (* a frame of slack per tolerance point on top of the relative
-             gate: suffix lengths are small integers, so a purely relative
-             bound would trip on a single extra log tail *)
-          let regression =
-            current > base *. (1. +. (tolerance /. 100.)) && current > base +. 16.
-          in
-          let verdict, note =
-            if regression then begin
-              incr regressed;
-              ("REGRESSED", " <-- past tolerance")
-            end
-            else if current < base then ("improved", "")
-            else ("ok", "")
-          in
-          Printf.printf "%-20s %-6s %10.0f %10.0f %+8.0f  %s%s\n" "recovery" "replay"
-            base current (current -. base) verdict note));
-  (* Monitor-overhead gate: an enabled pvmon must keep charging zero
-     simulated time to the monitored workloads.  The bench computes
-     overhead_pct from the off/on simulated clocks; the baseline pins
-     its ceiling (0.0 — scrapes happen outside simulated time by
-     construction), with half a point of absolute slack so the gate
-     states intent rather than float noise.  "new" when the baseline
-     predates the bench's monitor section, so old baselines keep
-     working. *)
-  (match List.assoc_opt "monitor" baseline with
-  | None ->
-      Printf.printf "%-20s %-6s %10s %10s %8s  new (no baseline entry)\n" "monitor"
-        "ovrhd" "-" "-" "-"
-  | Some mb -> (
-      let ceiling =
-        match get_number "overhead_pct_max" mb with
-        | Some b -> b
-        | None -> die "%s: monitor entry without overhead_pct_max" baseline_path
+      let verdict, note =
+        if past bound ~tolerance ~slack ~value current then begin
+          incr regressed;
+          ( "REGRESSED",
+            if bound = Max then " <-- above pinned ceiling" else " <-- below pinned floor" )
+        end
+        else ("ok", "")
       in
-      match
-        Option.bind (Json.member "monitor" current_json) (get_number "overhead_pct")
-      with
-      | None -> die "%s: no monitor.overhead_pct (old bench binary?)" current_path
-      | Some current ->
-          let regression = current > ceiling +. 0.5 in
-          let verdict, note =
-            if regression then begin
-              incr regressed;
-              ("REGRESSED", " <-- above pinned ceiling")
-            end
-            else ("ok", "")
-          in
-          Printf.printf "%-20s %-6s %9.2f%% %9.2f%% %+7.2f%%  %s%s\n" "monitor" "ovrhd"
-            ceiling current (current -. ceiling) verdict note));
-  (* Query-planner gate: the selective-ancestry speedup over the naive
-     evaluator must stay above the pinned floor (higher is better, so
-     only a drop fails; the relative tolerance gives simulation noise
-     room).  "new" when the baseline predates the bench's query
-     section, so old baselines keep working. *)
-  (match List.assoc_opt "query" baseline with
-  | None ->
-      Printf.printf "%-20s %-6s %10s %10s %8s  new (no baseline entry)\n" "query" "speedup"
-        "-" "-" "-"
-  | Some qb -> (
-      let floor =
-        match get_number "selective_speedup_min" qb with
-        | Some b -> b
-        | None -> die "%s: query entry without selective_speedup_min" baseline_path
-      in
-      match
-        Option.bind (Json.member "query" current_json) (get_number "selective_speedup")
-      with
-      | None -> die "%s: no query.selective_speedup (old bench binary?)" current_path
-      | Some current ->
-          let regression = current < floor *. (1. -. (tolerance /. 100.)) in
-          let verdict, note =
-            if regression then begin
-              incr regressed;
-              ("REGRESSED", " <-- below pinned floor")
-            end
-            else ("ok", "")
-          in
-          Printf.printf "%-20s %-6s %9.1fx %9.1fx %+7.1fx  %s%s\n" "query" "speedup" floor
-            current (current -. floor) verdict note));
+      Printf.printf "%-27s %10g %10g %+8g  %s%s\n" path value current (current -. value) verdict
+        note)
+    pins;
   if !regressed > 0 then begin
     Printf.printf "\n%d overhead value(s) regressed beyond tolerance.\n" !regressed;
     exit 1
