@@ -11,7 +11,8 @@
      ABLATION cycle avoidance vs PASSv1 detection; dedup; WAP; NFS txns
      MICRO    Bechamel microbenchmarks (one per table)
      HOST     the simulator's own allocated words per Table 2 run, and
-              per pinned run of checkpoints *)
+              per pinned run of checkpoints; the disk blocks each local
+              run leaves resident *)
 
 module Record = Pass_core.Record
 module Pvalue = Pass_core.Pvalue
@@ -979,21 +980,29 @@ let checkpoint_words () =
 
 (* Allocated words per Table 2 run for the workloads whose host cost the
    substrate dominates.  Reported, not gated: allocation differs across
-   compilers, so benchdiff carries no pin for it.  Each run
-   gets a fresh registry, so nothing here reaches another section's
+   compilers, so benchdiff carries no pin for it.  A local run also
+   reports the blocks its disks still hold a page for: a count, the same
+   under every compiler, which the baseline pins for Postmark, whose
+   deletes must leave only the live files' pages behind.  Each run gets a
+   fresh registry, so nothing here reaches another section's
    artifacts. *)
 let host_bench ~scale =
   section "HOST: allocated words per Table 2 run";
   let local mode (w : Runner.workload) =
     let sys = Runner.local_system ~registry:(Telemetry.create ()) mode in
     w.Runner.run sys;
-    ignore (System.drain sys : int)
+    ignore (System.drain sys : int);
+    Some
+      (List.fold_left
+         (fun n (v : System.volume) -> n + Simdisk.Disk.resident_blocks v.System.v_disk)
+         0 (System.volumes sys))
   in
   let pa_nfs (w : Runner.workload) =
     let sys, server = Runner.nfs_system ~registry:(Telemetry.create ()) System.Pass in
     w.Runner.run sys;
     ignore (System.drain sys : int);
-    ignore (Server.drain server : int)
+    ignore (Server.drain server : int);
+    None
   in
   let configs =
     [ ("ext3", local System.Vanilla); ("passv2", local System.Pass); ("pa_nfs", pa_nfs) ]
@@ -1011,18 +1020,26 @@ let host_bench ~scale =
           List.map
             (fun (config, run) ->
               let before = host_words () in
-              run w;
+              let resident = run w in
               let words = int_of_float (host_words () -. before) in
-              Printf.printf "  %-20s %-7s %12d words\n" w.Runner.wl_name config words;
-              (config, J.Int words))
+              Printf.printf "  %-20s %-7s %12d words" w.Runner.wl_name config words;
+              Option.iter (Printf.printf " %9d resident blocks") resident;
+              print_newline ();
+              (config, words, resident))
             configs
         in
-        (w.Runner.wl_name, J.Obj runs))
+        (w.Runner.wl_name, runs))
       wls
   in
   let checkpoint = checkpoint_words () in
   Printf.printf "  %-28s %12d words\n" "checkpoints (pinned run)" checkpoint;
-  J.Obj [ ("alloc_words", J.Obj rows); ("checkpoint", J.Int checkpoint) ]
+  let per_run f = J.Obj (List.map (fun (wl, runs) -> (wl, J.Obj (List.filter_map f runs))) rows) in
+  J.Obj
+    [ ("alloc_words", per_run (fun (config, words, _) -> Some (config, J.Int words)));
+      ("checkpoint", J.Int checkpoint);
+      ( "resident_blocks",
+        per_run (fun (config, _, resident) -> Option.map (fun n -> (config, J.Int n)) resident) );
+    ]
 
 let results_file = "BENCH_results.json"
 

@@ -25,6 +25,11 @@ type inode = {
      ext3 reservation-window allocator *)
 }
 
+(* An unlinked inode whose pages wait to be freed until no journal write
+   can touch the frame that unlinked it: [p_block] is the journal block
+   holding the frame's last byte, in compaction pass [p_epoch]. *)
+type pending = { p_inode : inode; p_epoch : int; p_block : int }
+
 type t = {
   disk : Simdisk.Disk.t;
   jstart : int; (* first journal block *)
@@ -42,11 +47,12 @@ type t = {
      stackable layer (Lasagna) halves the capacity — both its pages and
      the lower file system's pages compete for memory, which the paper
      identifies as the dominant Postmark cost. *)
-  page_cache : (Vfs.ino * int, string) Hashtbl.t;
-  cache_fifo : (Vfs.ino * int) Queue.t; (* insertion order for FIFO eviction *)
+  page_cache : (int, string) Hashtbl.t; (* keyed by [cache_key] *)
+  cache_fifo : int Queue.t; (* insertion order for FIFO eviction *)
   mutable cache_capacity : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
+  pending : pending Queue.t; (* oldest unlink first *)
 }
 
 let root_ino = 1
@@ -230,6 +236,51 @@ let load_snapshot t payload =
 
 let journal_capacity t = t.jblocks * Simdisk.Disk.block_size
 
+(* --- freeing unreachable pages -------------------------------------------
+
+   An unlinked inode's pages are freed, on the disk and in the page
+   cache, but only once no replay can bring the inode back.  Its unlink
+   frame is durable when [log_op] returns; what can still undo it is
+   later damage to the journal block that holds the frame's end, which
+   the next appends patch.  So the inode waits until the tail has moved
+   past that block (or a compaction has written a snapshot without it),
+   and the disk itself ignores discards once it has applied a torn or
+   corrupted write.  The block allocator never reuses a block, so none
+   of this moves a position, a seek or a simulated nanosecond. *)
+
+(* One int per cached page, so a lookup allocates no tuple; logical
+   blocks stay below 2^32 (16 TB files). *)
+let cache_key ino l = (ino lsl 32) lor l
+
+(* What an unlinked inode's cached pages become.  Dropping the keys
+   instead would change the FIFO's occupancy and so which pages later
+   evictions pick. *)
+let freed_page = ""
+
+(* [i] has just been unlinked by a frame [log_op] wrote. *)
+let forget t (i : inode) =
+  if Hashtbl.length i.blocks > 0 then
+    Queue.push
+      { p_inode = i; p_epoch = t.epoch;
+        p_block = (t.journal_tail - 1) / Simdisk.Disk.block_size }
+      t.pending
+
+let discard_ready t =
+  while
+    (not (Queue.is_empty t.pending))
+    &&
+    let p = Queue.peek t.pending in
+    p.p_epoch <> t.epoch || t.journal_tail / Simdisk.Disk.block_size > p.p_block
+  do
+    let i = (Queue.pop t.pending).p_inode in
+    Hashtbl.iter
+      (fun l phys ->
+        let key = cache_key i.ino l in
+        if Hashtbl.mem t.page_cache key then Hashtbl.replace t.page_cache key freed_page;
+        Simdisk.Disk.discard t.disk phys)
+      i.blocks
+  done
+
 let rec journal_append t rec_ =
   let payload =
     let buf = Buffer.create 64 in
@@ -252,7 +303,8 @@ let rec journal_append t rec_ =
     let off = (t.jstart * Simdisk.Disk.block_size) + t.journal_tail in
     Simdisk.Disk.write_bytes t.disk ~off frame;
     t.journal_tail <- t.journal_tail + String.length frame;
-    t.journal_bytes_written <- t.journal_bytes_written + String.length frame
+    t.journal_bytes_written <- t.journal_bytes_written + String.length frame;
+    discard_ready t
   end
 
 and compact_journal t =
@@ -289,6 +341,7 @@ let make ?(jblocks = default_jblocks) disk =
     cache_capacity = 4096; (* 16 MB of 4 KB pages *)
     cache_hits = 0;
     cache_misses = 0;
+    pending = Queue.create ();
   }
 
 let set_cache_capacity t blocks =
@@ -403,18 +456,35 @@ let unlink t ~dir name =
           if i.kind = Vfs.Directory && Hashtbl.length i.dirents > 0 then Error Vfs.ENOTEMPTY
           else begin
             log_op t (J_unlink { dir; name });
+            forget t i;
             Ok ()
           end)
 
 let rename t ~src_dir ~src_name ~dst_dir ~dst_name =
   guard t (fun () ->
       let* sd = get_dir t src_dir in
-      let* _dd = get_dir t dst_dir in
-      if not (Hashtbl.mem sd.dirents src_name) then Error Vfs.ENOENT
-      else begin
-        log_op t (J_rename { src_dir; src_name; dst_dir; dst_name });
-        Ok ()
-      end)
+      let* dd = get_dir t dst_dir in
+      match Hashtbl.find_opt sd.dirents src_name with
+      | None -> Error Vfs.ENOENT
+      | Some ino ->
+          (* a victim must match the source's kind, and a directory
+             victim must be empty, or its subtree would be orphaned *)
+          let* victim =
+            match Hashtbl.find_opt dd.dirents dst_name with
+            | Some v when v <> ino -> (
+                let* src = get_inode t ino in
+                let* victim = get_inode t v in
+                match (src.kind, victim.kind) with
+                | Vfs.Regular, Vfs.Directory -> Error Vfs.EISDIR
+                | Vfs.Directory, Vfs.Regular -> Error Vfs.ENOTDIR
+                | Vfs.Directory, Vfs.Directory when Hashtbl.length victim.dirents > 0 ->
+                    Error Vfs.ENOTEMPTY
+                | _ -> Ok (Some victim))
+            | Some _ | None -> Ok None
+          in
+          log_op t (J_rename { src_dir; src_name; dst_dir; dst_name });
+          Option.iter (forget t) victim;
+          Ok ())
 
 let reservation_window = 256
 
@@ -477,13 +547,14 @@ let write t ino ~off data =
               ~off:((phys * Simdisk.Disk.block_size) + inblk)
               piece;
             (* write-through: keep the page cache coherent *)
-            (if n = Simdisk.Disk.block_size then cache_insert t (ino, l) piece
+            (let key = cache_key ino l in
+             if n = Simdisk.Disk.block_size then cache_insert t key piece
              else
-               match Hashtbl.find_opt t.page_cache (ino, l) with
+               match Hashtbl.find_opt t.page_cache key with
                | Some page ->
                    let b = Bytes.of_string page in
                    Bytes.blit_string piece 0 b inblk n;
-                   Hashtbl.replace t.page_cache (ino, l) (Bytes.unsafe_to_string b)
+                   Hashtbl.replace t.page_cache key (Bytes.unsafe_to_string b)
                | None -> ());
             pos := !pos + n
           done
@@ -497,7 +568,8 @@ let read_page t (i : inode) l =
   match Hashtbl.find_opt i.blocks l with
   | None -> None
   | Some phys -> (
-      match Hashtbl.find_opt t.page_cache (i.ino, l) with
+      let key = cache_key i.ino l in
+      match Hashtbl.find_opt t.page_cache key with
       | Some page ->
           t.cache_hits <- t.cache_hits + 1;
           Some page
@@ -507,7 +579,7 @@ let read_page t (i : inode) l =
             Simdisk.Disk.read_bytes t.disk ~off:(phys * Simdisk.Disk.block_size)
               ~len:Simdisk.Disk.block_size
           in
-          cache_insert t (i.ino, l) page;
+          cache_insert t key page;
           Some page)
 
 let read t ino ~off ~len =

@@ -25,7 +25,15 @@ val mount : ?jblocks:int -> Simdisk.Disk.t -> t
 val ops : t -> Vfs.ops
 (** The VFS face.  File pages are shared, immutable strings: a
     whole-block write caches the caller's string, and an aligned
-    whole-block read returns the cached (or on-disk) page itself. *)
+    whole-block read returns the cached (or on-disk) page itself.
+
+    [unlink] and [rename] over an existing name free the lost inode's
+    pages: its blocks are discarded on the disk and its cached pages
+    dropped (their cache slots stay taken until evicted), once the
+    journal tail has moved past the frame that unlinked it, so no
+    replay can bring the inode back without its data.  [rename] refuses
+    a victim of the other kind ([EISDIR], [ENOTDIR]) or a non-empty
+    directory victim ([ENOTEMPTY]). *)
 
 val root_ino : Vfs.ino
 

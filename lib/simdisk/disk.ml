@@ -57,11 +57,13 @@ exception Io_error
    position and the logical time of its last use (for LRU eviction). *)
 type stream = { mutable s_head : int; mutable s_used : int }
 
-(* A stored block: an immutable page, or a base page with pending
-   partial-block patches (newest first; see the page store below). *)
+(* A stored block: an immutable page, a base page with pending
+   partial-block patches (newest first; see the page store below), or a
+   block the file system has freed. *)
 type page =
   | Page of string
   | Patched of { base : string; patches : (int * string) list; count : int }
+  | Discarded
 
 type t = {
   clock : Clock.t;
@@ -72,6 +74,7 @@ type t = {
   mutable crashed : bool;
   mutable crash_after_writes : int option;
   mutable fault : Fault.plan;
+  mutable damaged : bool; (* a torn or corrupted write has been applied *)
   i : instruments;
   (* cost knobs, ns *)
   full_seek_ns : int;
@@ -92,6 +95,7 @@ let create ~registry ?(total_blocks = 20_000_000) ?(stream_slots = 5) ?(fault = 
     crashed = false;
     crash_after_writes = None;
     fault;
+    damaged = false;
     i = instruments registry;
     full_seek_ns = Clock.ns_of_ms 17;      (* full-stroke seek *)
     min_seek_ns = Clock.ns_of_us 800;      (* track-to-track *)
@@ -199,7 +203,15 @@ let check_block t blk =
    patch over the block's base instead of copying the block; the patches
    fold into a fresh base when the block is next read or when
    [max_patches] accumulate.  None of this is visible to the cost model:
-   every access still charges, counts and draws faults exactly once. *)
+   every access still charges, counts and draws faults exactly once.
+
+   A discarded block holds no page at all.  Reading it is an I/O error
+   (so a path that reaches a freed page fails loudly instead of seeing
+   zeros), and writing it starts over from the zero page.  Discarding is
+   free: no time, no counter, no fault draw, no crash tick.  Once a torn
+   or corrupted write has reached the medium the device stops
+   discarding, since that damage can cut a journal replay short and
+   bring back a file whose pages would then be gone. *)
 
 let zero_block = String.make block_size '\000'
 let max_patches = 32
@@ -211,21 +223,23 @@ let fold_patches base patches =
     (List.rev patches);
   Bytes.unsafe_to_string b
 
-(* The block's current contents, folding any pending patches into a new
-   base. *)
-let stored_block t blk =
-  match Hashtbl.find_opt t.blocks blk with
-  | None -> zero_block
+(* The contents of [blk], stored as [page], folding any pending patches
+   into a new base; a block never written or discarded is the zero
+   page. *)
+let contents t blk = function
+  | None | Some Discarded -> zero_block
   | Some (Page s) -> s
   | Some (Patched { base; patches; _ }) ->
       let s = fold_patches base patches in
       Hashtbl.replace t.blocks blk (Page s);
       s
 
+let stored_block t blk = contents t blk (Hashtbl.find_opt t.blocks blk)
+
 let add_patch t blk off piece =
   let page =
     match Hashtbl.find_opt t.blocks blk with
-    | None -> Patched { base = zero_block; patches = [ (off, piece) ]; count = 1 }
+    | None | Some Discarded -> Patched { base = zero_block; patches = [ (off, piece) ]; count = 1 }
     | Some (Page base) -> Patched { base; patches = [ (off, piece) ]; count = 1 }
     | Some (Patched { base; patches; count }) ->
         if count + 1 >= max_patches then Page (fold_patches base ((off, piece) :: patches))
@@ -246,7 +260,9 @@ let read_block t blk =
   charge_position t blk;
   Telemetry.incr t.i.reads;
   Telemetry.add t.i.bytes_read block_size;
-  stored_block t blk
+  match Hashtbl.find_opt t.blocks blk with
+  | Some Discarded -> raise Io_error
+  | page -> contents t blk page
 
 (* One block write: a whole new page, or a patch over the stored one. *)
 type update = Whole of string | Patch of int * string
@@ -280,11 +296,13 @@ let write_update t blk update =
       let data = updated_block t blk update in
       let b = Bytes.of_string (stored_block t blk) in
       Bytes.blit_string data 0 b 0 (block_size / 2);
+      t.damaged <- true;
       Hashtbl.replace t.blocks blk (Page (Bytes.unsafe_to_string b))
   | Some Fault.Corrupt_sector, _ ->
       let b = Bytes.of_string (updated_block t blk update) in
       let pos = block_size / 2 in
       Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0xff));
+      t.damaged <- true;
       Hashtbl.replace t.blocks blk (Page (Bytes.unsafe_to_string b))
   | (Some Fault.Write_error | Some Fault.Read_error | None), Whole data ->
       Hashtbl.replace t.blocks blk (Page data)
@@ -294,6 +312,16 @@ let write_update t blk update =
 let write_block t blk data =
   if String.length data <> block_size then invalid_arg "Disk.write_block: bad size";
   write_update t blk (Whole data)
+
+let discard t blk =
+  check_alive t;
+  check_block t blk;
+  if not t.damaged then Hashtbl.replace t.blocks blk Discarded
+
+let resident_blocks t =
+  Hashtbl.fold
+    (fun _ page n -> match page with Discarded -> n | Page _ | Patched _ -> n + 1)
+    t.blocks 0
 
 (* Convenience used by the file systems: read/write [len] bytes at an
    arbitrary byte offset, spanning blocks as needed.  An aligned

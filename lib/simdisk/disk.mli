@@ -69,12 +69,25 @@ val revive : t -> unit
 
 val read_block : t -> int -> string
 (** The block's current contents ({!block_size} bytes).  A block never
-    written reads as zeros (one shared zero page). *)
+    written reads as zeros (one shared zero page); a discarded block
+    raises {!Io_error}, after the read is charged. *)
 
 val write_block : t -> int -> string -> unit
 (** Store [data] (exactly {!block_size} bytes) as the block, without
     copying it.  Under a [Torn_write] or [Corrupt_sector] fault the
     device stores a damaged copy instead. *)
+
+val discard : t -> int -> unit
+(** [discard d blk] frees the block: the device drops its page, a later
+    read raises {!Io_error}, and a later write starts from the zero page.
+    It charges no time, counts nothing, draws no fault and does not
+    advance a scheduled crash.  Once a [Torn_write] or [Corrupt_sector]
+    has been applied, the device ignores discards: such damage can stop
+    a journal replay early, and a file it brings back must still have
+    its pages.  Raises {!Crashed} on a crashed device. *)
+
+val resident_blocks : t -> int
+(** Blocks that hold a page: written and not discarded since. *)
 
 val read_bytes : t -> off:int -> len:int -> string
 (** Byte-granularity read spanning blocks: one {!read_block} per block

@@ -196,6 +196,32 @@ let test_version_branching () =
   ok_fs (Client.flush c2);
   check tint "server converged" v1 (Ctx.current_version (Server.ctx server) h1.Dpapi.pnode)
 
+let test_rename_over_directory_refused () =
+  (* the server's file system refuses a rename whose victim has the wrong
+     kind or is a non-empty directory, and the errno crosses the wire *)
+  let registry = Telemetry.create () in
+  let clock = Simdisk.Clock.create () in
+  let server =
+    Server.create ~registry ~mode:Server.Pass_enabled ~clock ~machine:9 ~volume:"nfs0" ()
+  in
+  let client =
+    Client.create ~registry ~net:(Proto.net clock) ~handler:(Server.handle server)
+      ~ctx:(Ctx.create ~machine:11) ~mount_name:"nfs0" ()
+  in
+  let ops = Client.ops client in
+  ignore (ok_fs (Vfs.write_file ops "/f" "file") : Vfs.ino);
+  ignore (ok_fs (Vfs.write_file ~mkparents:true ops "/d/inner" "inner") : Vfs.ino);
+  ignore (ok_fs (Vfs.mkdir_p ops "/e") : Vfs.ino);
+  List.iter
+    (fun (src, dst, want) ->
+      match Vfs.rename_path ops src dst with
+      | Error e when e = want -> ()
+      | Ok () -> Alcotest.failf "rename %s over %s succeeded" src dst
+      | Error e -> Alcotest.failf "rename %s over %s: %s" src dst (Vfs.errno_to_string e))
+    [ ("/f", "/d", Vfs.EISDIR); ("/d", "/f", Vfs.ENOTDIR); ("/e", "/d", Vfs.ENOTEMPTY) ];
+  check tstr "file kept" "file" (ok_fs (Vfs.read_file ops "/f"));
+  check tstr "subtree kept" "inner" (ok_fs (Vfs.read_file ops "/d/inner"))
+
 let test_figure1_two_servers () =
   (* The Figure 1 topology: a workstation with a local disk plus two NFS
      servers; inputs on server A, outputs on server B, intermediates local.
@@ -784,6 +810,8 @@ let suite =
     Alcotest.test_case "large writes use transactions" `Quick test_large_write_uses_txn;
     Alcotest.test_case "client crash orphans are discarded" `Quick test_orphaned_txn_discarded;
     Alcotest.test_case "version branching across clients" `Quick test_version_branching;
+    Alcotest.test_case "rename over a directory is refused" `Quick
+      test_rename_over_directory_refused;
     Alcotest.test_case "Figure 1: two servers + workstation" `Quick test_figure1_two_servers;
     Alcotest.test_case "server disk crash + recovery" `Quick test_server_disk_crash;
     Alcotest.test_case "bundle chunking" `Quick test_chunk_bundle;

@@ -76,10 +76,11 @@ let test_disk_crash () =
 
 (* A differential check of the page store: random byte and block I/O
    (spanning blocks, and bursts of small writes to one block that outrun
-   the patch bound), crashes and revivals, and seeded fault plans, run
-   against a flat [Bytes] image that applies each block write whole.  The
-   model draws from a twin of the disk's fault plan in lockstep, so it
-   knows which write tears or corrupts and which access fails. *)
+   the patch bound), discards, crashes and revivals, and seeded fault
+   plans, run against a flat [Bytes] image that applies each block write
+   whole.  The model draws from a twin of the disk's fault plan in
+   lockstep, so it knows which write tears or corrupts and which access
+   fails. *)
 
 let prop_blocks = 8
 let prop_span = prop_blocks * Disk.block_size
@@ -90,11 +91,12 @@ type disk_op =
   | Write_block of int * string
   | Read_block of int
   | Burst of int * (int * string) list (* small writes to one block *)
+  | Discard of int
   | Crash_after of int
   | Crash
   | Revive
 
-let gen_disk_prog =
+let gen_disk_prog ~discards =
   let open QCheck2.Gen in
   let bs = Disk.block_size in
   let data len = map (fun seed -> Helpers.payload ~seed ~len) nat in
@@ -114,7 +116,7 @@ let gen_disk_prog =
   in
   let op =
     frequency
-      [
+      ([
         (4, write_bytes);
         (3, read_bytes);
         (1, map2 (fun b d -> Write_bytes (b * bs, d)) blk (data bs));
@@ -126,6 +128,7 @@ let gen_disk_prog =
         (1, return Crash);
         (1, return Revive);
       ]
+      @ if discards then [ (2, map (fun b -> Discard b) blk) ] else [])
   in
   triple bool nat (list_size (int_range 1 40) op)
 
@@ -138,10 +141,14 @@ let prop_plan ~faulty ~seed =
   else Fault.none
 
 (* The model: block writes land whole (or torn, or corrupted) in one flat
-   image; crash and fault order follows the device contract. *)
+   image; crash and fault order follows the device contract.  A discarded
+   block is zeroed in the image and flagged until it is written again;
+   after the first torn or corrupted write, discards do nothing. *)
 type model = {
   img : Bytes.t;
   plan : Fault.plan;
+  discarded : bool array;
+  mutable damaged : bool;
   mutable down : bool;
   mutable countdown : int option;
 }
@@ -151,7 +158,15 @@ let model_read_block m blk =
   (match Fault.next_disk_fault m.plan ~now:0 ~write:false with
   | Some Fault.Read_error -> raise Disk.Io_error
   | Some _ | None -> ());
+  if m.discarded.(blk) then raise Disk.Io_error;
   Bytes.sub_string m.img (blk * Disk.block_size) Disk.block_size
+
+let model_discard m blk =
+  if m.down then raise Disk.Crashed;
+  if not m.damaged then begin
+    Bytes.fill m.img (blk * Disk.block_size) Disk.block_size '\000';
+    m.discarded.(blk) <- true
+  end
 
 let model_write_block m blk data =
   if m.down then raise Disk.Crashed;
@@ -162,10 +177,15 @@ let model_write_block m blk data =
   | Some n -> m.countdown <- Some (n - 1)
   | None -> ());
   let base = blk * Disk.block_size and half = Disk.block_size / 2 in
-  match Fault.next_disk_fault m.plan ~now:0 ~write:true with
+  let fault = Fault.next_disk_fault m.plan ~now:0 ~write:true in
+  if fault <> Some Fault.Write_error then m.discarded.(blk) <- false;
+  match fault with
   | Some Fault.Write_error -> raise Disk.Io_error
-  | Some Fault.Torn_write -> Bytes.blit_string data 0 m.img base half
+  | Some Fault.Torn_write ->
+      m.damaged <- true;
+      Bytes.blit_string data 0 m.img base half
   | Some Fault.Corrupt_sector ->
+      m.damaged <- true;
       Bytes.blit_string data 0 m.img base Disk.block_size;
       let c = Bytes.get m.img (base + half) in
       Bytes.set m.img (base + half) (Char.chr (Char.code c lxor 0xff))
@@ -204,6 +224,7 @@ let disk_exec disk = function
         (fun (off, piece) -> Disk.write_bytes disk ~off:((blk * Disk.block_size) + off) piece)
         writes;
       ""
+  | Discard blk -> Disk.discard disk blk; ""
   | Crash_after n -> Disk.schedule_crash disk ~after_writes:n; ""
   | Crash -> Disk.crash disk; ""
   | Revive -> Disk.revive disk; ""
@@ -218,6 +239,7 @@ let model_exec m = function
         (fun (off, piece) -> model_write_bytes m ~off:((blk * Disk.block_size) + off) piece)
         writes;
       ""
+  | Discard blk -> model_discard m blk; ""
   | Crash_after n -> m.countdown <- Some n; ""
   | Crash -> m.down <- true; ""
   | Revive ->
@@ -232,7 +254,8 @@ let outcome f =
   | exception Disk.Io_error -> Error "eio"
 
 (* Run one program on a fresh device and on the model; [true] when every
-   op agreed (result or exception) and the final images are equal. *)
+   op agreed (result or exception) and the final images are equal, block
+   by block (a discarded block reads as EIO on both). *)
 let run_disk_prog (faulty, seed, ops) =
   let clock = Clock.create () in
   let disk =
@@ -240,8 +263,8 @@ let run_disk_prog (faulty, seed, ops) =
       ~fault:(prop_plan ~faulty ~seed) ~clock ()
   in
   let m =
-    { img = Bytes.make prop_span '\000'; plan = prop_plan ~faulty ~seed; down = false;
-      countdown = None }
+    { img = Bytes.make prop_span '\000'; plan = prop_plan ~faulty ~seed;
+      discarded = Array.make prop_blocks false; damaged = false; down = false; countdown = None }
   in
   let agreed =
     List.for_all
@@ -254,38 +277,105 @@ let run_disk_prog (faulty, seed, ops) =
   Disk.revive disk;
   Disk.set_fault disk Fault.none;
   let same_image =
-    String.equal (Disk.read_bytes disk ~off:0 ~len:prop_span) (Bytes.to_string m.img)
+    List.for_all
+      (fun blk ->
+        outcome (fun () -> Disk.read_block disk blk)
+        = outcome (fun () ->
+              model_read_block { m with plan = Fault.none; down = false } blk))
+      (List.init prop_blocks Fun.id)
   in
   (agreed && same_image, clock, disk)
 
 let prop_disk_matches_model =
   QCheck2.Test.make ~name:"disk: page store matches a flat-image model" ~count:300
-    gen_disk_prog (fun prog ->
+    (gen_disk_prog ~discards:true) (fun prog ->
       let ok, _, _ = run_disk_prog prog in
       ok)
 
+(* [prog] with the target of every whole-block write discarded just
+   before it: a program whose costs the discards must leave alone. *)
+let discard_before_writes (faulty, seed, ops) =
+  let discard = function Write_block (b, _) as op -> [ Discard b; op ] | op -> [ op ] in
+  (faulty, seed, List.concat_map discard ops)
+
 (* The page store must not move the cost model: over a pinned set of
    programs, the simulated clock and every disk counter equal the values
-   the copying implementation produced. *)
+   the copying implementation produced, with or without discards
+   interleaved. *)
 let test_disk_costs_unchanged () =
   let progs =
-    QCheck2.Gen.generate ~rand:(Random.State.make [| 0xd15c |]) ~n:100 gen_disk_prog
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 0xd15c |]) ~n:100
+      (gen_disk_prog ~discards:false)
   in
-  let sums = Array.make 8 0 in
-  List.iter
-    (fun prog ->
-      let ok, clock, disk = run_disk_prog prog in
-      check tbool "program agrees with the model" true ok;
-      let s = Disk.stats disk in
-      List.iteri
-        (fun k v -> sums.(k) <- sums.(k) + v)
-        [ Clock.now clock; s.reads; s.writes; s.bytes_read; s.bytes_written; s.seeks;
-          s.seek_ns; s.transfer_ns ])
-    progs;
+  let sums progs =
+    let sums = Array.make 8 0 in
+    List.iter
+      (fun prog ->
+        let ok, clock, disk = run_disk_prog prog in
+        check tbool "program agrees with the model" true ok;
+        let s = Disk.stats disk in
+        List.iteri
+          (fun k v -> sums.(k) <- sums.(k) + v)
+          [ Clock.now clock; s.reads; s.writes; s.bytes_read; s.bytes_written; s.seeks;
+            s.seek_ns; s.transfer_ns ])
+      progs;
+    Array.to_list sums
+  in
+  let golden = [ 1938122137; 1470; 3185; 6021120; 13045760; 100; 1621887137; 144235000 ] in
   check Alcotest.(list int)
-    "clock, reads, writes, bytes read/written, seeks, seek/transfer ns"
-    [ 1938122137; 1470; 3185; 6021120; 13045760; 100; 1621887137; 144235000 ]
-    (Array.to_list sums)
+    "clock, reads, writes, bytes read/written, seeks, seek/transfer ns" golden (sums progs);
+  check Alcotest.(list int) "the same, with discards interleaved" golden
+    (sums (List.map discard_before_writes progs))
+
+(* A discard is free: on a faulty device with a crash scheduled, block
+   I/O with a discard before every access charges the same time and
+   counters, draws the same fault schedule and crashes at the same write
+   as without. *)
+let test_disk_discard_is_free () =
+  let run ~discards =
+    let clock = Clock.create () in
+    let plan = prop_plan ~faulty:true ~seed:7 in
+    let disk =
+      Disk.create ~registry:(Telemetry.create ()) ~total_blocks:prop_blocks ~fault:plan ~clock ()
+    in
+    Disk.schedule_crash disk ~after_writes:150;
+    let crashed_at = ref (-1) in
+    (try
+       for k = 0 to 399 do
+         let blk = k * 5 mod prop_blocks in
+         if discards then Disk.discard disk blk;
+         match
+           if k mod 3 = 0 then ignore (Disk.read_block disk blk : string)
+           else Disk.write_block disk blk (Helpers.payload ~seed:k ~len:Disk.block_size)
+         with
+         | () -> ()
+         | exception Disk.Io_error -> ()
+       done
+     with Disk.Crashed -> crashed_at := (Disk.stats disk).writes);
+    let s = Disk.stats disk in
+    ( [ Clock.now clock; s.reads; s.writes; s.seeks; s.seek_ns; s.transfer_ns; !crashed_at ],
+      Fault.events plan )
+  in
+  let costs, events = run ~discards:false and costs', events' = run ~discards:true in
+  check tbool "faults fired" true (events <> []);
+  check Alcotest.(list int) "clock, counters and crash tick" costs costs';
+  check Alcotest.(list string) "fault schedule" events events'
+
+let test_disk_discard () =
+  let disk = Disk.create ~registry:(Telemetry.create ()) ~clock:(Clock.create ()) () in
+  let page = String.make Disk.block_size 'p' in
+  Disk.write_block disk 10 page;
+  Disk.write_block disk 11 page;
+  check tint "two resident" 2 (Disk.resident_blocks disk);
+  Disk.discard disk 10;
+  check tint "one resident" 1 (Disk.resident_blocks disk);
+  Alcotest.check_raises "discarded block reads as EIO" Disk.Io_error (fun () ->
+      ignore (Disk.read_block disk 10 : string));
+  Disk.write_bytes disk ~off:((10 * Disk.block_size) + 5) "xy";
+  check tstr "a patch lands on the zero page"
+    (String.make 5 '\000' ^ "xy" ^ String.make (Disk.block_size - 7) '\000')
+    (Disk.read_block disk 10);
+  check tstr "untouched neighbour" page (Disk.read_block disk 11)
 
 (* --- ext3 ---------------------------------------------------------------- *)
 
@@ -445,6 +535,201 @@ let test_ext3_no_stale_frames_after_compaction () =
   done;
   check Alcotest.(list int) "seeds whose remount differs from the live tree" []
     (List.rev !mismatches)
+
+(* Twenty creates with 240-byte names: about 6 KB of journal frames, which
+   moves the tail past the block of any earlier unlink, so its pages are
+   freed. *)
+let move_journal_tail ops =
+  for i = 0 to 19 do
+    let name = Printf.sprintf "/pad%d.%s" i (String.make 240 'p') in
+    ignore (Helpers.ok_fs (Vfs.create_path ops name Vfs.Regular) : Vfs.ino)
+  done
+
+let test_ext3_rename_kinds () =
+  (* a victim of the wrong kind, or a non-empty directory victim, is
+     refused before any frame is logged: nothing is orphaned *)
+  let disk, fs = Helpers.fresh_ext3 () in
+  let ops = Ext3.ops fs in
+  ignore (Helpers.ok_fs (Vfs.write_file ops "/f" "file") : Vfs.ino);
+  ignore (Helpers.ok_fs (Vfs.write_file ~mkparents:true ops "/d/inner" "inner") : Vfs.ino);
+  ignore (Helpers.ok_fs (Vfs.mkdir_p ops "/e") : Vfs.ino);
+  ignore (Helpers.ok_fs (Vfs.mkdir_p ops "/e2") : Vfs.ino);
+  let logged = Ext3.metadata_ops fs in
+  List.iter
+    (fun (src, dst, want) ->
+      match Vfs.rename_path ops src dst with
+      | Error e when e = want -> ()
+      | Ok () -> Alcotest.failf "rename %s over %s succeeded" src dst
+      | Error e -> Alcotest.failf "rename %s over %s: %s" src dst (Vfs.errno_to_string e))
+    [ ("/f", "/d", Vfs.EISDIR); ("/d", "/f", Vfs.ENOTDIR); ("/e", "/d", Vfs.ENOTEMPTY) ];
+  check tint "no frame logged" logged (Ext3.metadata_ops fs);
+  Helpers.ok_fs (Vfs.rename_path ops "/e" "/e2");
+  check tbool "empty directory replaced" true (Vfs.lookup_path ops "/e" = Error Vfs.ENOENT);
+  let ops2 = Ext3.ops (Ext3.mount disk) in
+  check tstr "file kept across replay" "file" (Helpers.ok_fs (Vfs.read_file ops2 "/f"));
+  check tstr "subtree kept across replay" "inner" (Helpers.ok_fs (Vfs.read_file ops2 "/d/inner"));
+  check Alcotest.(list string) "root after replay" [ "d"; "e2"; "f" ]
+    (Helpers.ok_fs (ops2.Vfs.readdir Ext3.root_ino))
+
+let test_ext3_unlink_keeps_cache_slots () =
+  (* an unlinked file's freed page keeps its FIFO slot until evicted, as
+     it did when pages were never freed: writing d into a full cache
+     evicts a, not the dead page of b *)
+  let _disk, fs = Helpers.fresh_ext3 () in
+  Ext3.set_cache_capacity fs 3;
+  let ops = Ext3.ops fs in
+  let page c = String.make Disk.block_size c in
+  let put c =
+    ignore (Helpers.ok_fs (Vfs.write_file ops (Printf.sprintf "/%c" c) (page c)) : Vfs.ino)
+  in
+  List.iter put [ 'a'; 'b'; 'c' ];
+  Helpers.ok_fs (Vfs.remove_path ops "/b");
+  move_journal_tail ops;
+  ignore (Helpers.ok_fs (Vfs.write_file ops "/d" (page 'd')) : Vfs.ino);
+  let hits, misses = Ext3.cache_stats fs in
+  check tstr "a reads back" (page 'a') (Helpers.ok_fs (Vfs.read_file ops "/a"));
+  check tstr "c reads back" (page 'c') (Helpers.ok_fs (Vfs.read_file ops "/c"));
+  check Alcotest.(pair int int) "a missed, c hit" (hits + 1, misses + 1) (Ext3.cache_stats fs)
+
+(* A create/write/unlink/rename-over churn in the root directory, and its
+   model: the files after each step.  Long names fill the journal, so
+   its tail moves past the blocks holding earlier unlinks and their
+   discards run. *)
+type churn_step =
+  | Mk of string
+  | Put of string * string
+  | Rm of string
+  | Mv of string * string
+
+let churn_script =
+  List.concat
+    (List.init 24 (fun i ->
+         let f k = Printf.sprintf "f%d.%s" k (String.make 240 'n') in
+         [ Mk (f i); Put (f i, Helpers.payload ~seed:i ~len:(300 + (i mod 5 * 1500))) ]
+         @ (if i mod 3 = 2 then [ Rm (f (i - 2)) ] else [])
+         @
+         if i mod 4 = 3 then
+           [ Mk "tmp"; Put ("tmp", Helpers.payload ~seed:(100 + i) ~len:(2000 + (i mod 5 * 700)));
+             Mv ("tmp", f (i - 1)) ]
+         else []))
+
+let churn_model files = function
+  | Mk n -> (n, "") :: files
+  | Put (n, d) -> (n, d) :: List.remove_assoc n files
+  | Rm n -> List.remove_assoc n files
+  | Mv (src, dst) ->
+      (dst, List.assoc src files) :: List.remove_assoc src (List.remove_assoc dst files)
+
+let churn_exec (ops : Vfs.ops) step =
+  let root = Ext3.root_ino in
+  match step with
+  | Mk n -> Result.map ignore (ops.create ~dir:root n Vfs.Regular)
+  | Put (n, d) -> Result.bind (ops.lookup ~dir:root n) (fun ino -> ops.write ino ~off:0 d)
+  | Rm n -> ops.unlink ~dir:root n
+  | Mv (src, dst) -> ops.rename ~src_dir:root ~src_name:src ~dst_dir:root ~dst_name:dst
+
+(* The files a mounted tree holds, sorted; a read error fails the test. *)
+let churn_files (ops : Vfs.ops) =
+  List.map
+    (fun n ->
+      match Vfs.read_file ops ("/" ^ n) with
+      | Ok d -> (n, d)
+      | Error e -> Alcotest.failf "reading %s after replay: %s" n (Vfs.errno_to_string e))
+    (Helpers.ok_fs (ops.readdir Ext3.root_ino))
+
+let test_ext3_crash_sweep_with_unlinks () =
+  (* crash the churn at every disk-write tick: the replayed tree is the
+     model before or after the step in flight, so every surviving file is
+     intact, deleted names stay gone, and no read meets a discarded
+     page *)
+  let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) in
+  let fresh () =
+    let disk = Disk.create ~registry:(Telemetry.create ()) ~clock:(Clock.create ()) () in
+    let fs = Ext3.format disk in
+    (disk, fs, Ext3.ops fs)
+  in
+  let disk, fs, ops = fresh () in
+  let writes0 = (Disk.stats disk).writes in
+  let files =
+    List.fold_left
+      (fun files step ->
+        Helpers.ok_fs (churn_exec ops step);
+        churn_model files step)
+      [] churn_script
+  in
+  let ticks = (Disk.stats disk).writes - writes0 in
+  (* once the tail has moved past the last unlink, the disk holds the
+     live files' pages and the journal, nothing else *)
+  move_journal_tail ops;
+  let blocks bytes = (bytes + Disk.block_size - 1) / Disk.block_size in
+  check tint "only reachable pages resident"
+    (List.fold_left (fun n (_, d) -> n + blocks (String.length d)) 0 files
+    + blocks (Ext3.journal_bytes_written fs))
+    (Disk.resident_blocks disk);
+  for k = 0 to ticks - 1 do
+    let disk, _, ops = fresh () in
+    Disk.schedule_crash disk ~after_writes:k;
+    let rec run files = function
+      | [] -> Alcotest.failf "tick %d: no crash" k
+      | step :: rest -> (
+          match churn_exec ops step with
+          | Ok () -> run (churn_model files step) rest
+          | Error Vfs.ECRASH -> (sorted files, sorted (churn_model files step))
+          | Error e -> Alcotest.failf "tick %d: %s" k (Vfs.errno_to_string e))
+    in
+    let before, after = run [] churn_script in
+    Disk.revive disk;
+    let ops2 = Ext3.ops (Ext3.mount disk) in
+    let got = churn_files ops2 in
+    if got <> before && got <> after then
+      Alcotest.failf "tick %d: replayed tree [%s] is neither model state" k
+        (String.concat " " (List.map fst got));
+    (* the remounted file system keeps working over freed blocks *)
+    let post = Helpers.payload ~seed:k ~len:9000 in
+    ignore (Helpers.ok_fs (Vfs.write_file ops2 "/post" post) : Vfs.ino);
+    check tbool "write after replay" true (Vfs.read_file ops2 "/post" = Ok post)
+  done
+
+let test_ext3_latent_fault_keeps_pages () =
+  (* a torn write of an unlink frame, or a corrupted sector in the journal
+     block that holds it, can make replay bring the file back: its pages
+     must still be there.  The pad file's name slides the unlink frame
+     across the middle of the first journal block, where both faults
+     land. *)
+  let victim = Helpers.payload ~seed:77 ~len:9000 in
+  List.iter
+    (fun (what, spec, before_unlink) ->
+      let resurrected = ref 0 in
+      for pad = 1850 to 1920 do
+        let disk = Disk.create ~registry:(Telemetry.create ()) ~clock:(Clock.create ()) () in
+        let ops = Ext3.ops (Ext3.format disk) in
+        ignore (Helpers.ok_fs (Vfs.write_file ops "/victim" victim) : Vfs.ino);
+        let pad_file = "/" ^ String.make pad 'p' in
+        ignore (Helpers.ok_fs (Vfs.create_path ops pad_file Vfs.Regular) : Vfs.ino);
+        let fault () =
+          Disk.set_fault disk (Fault.plan ~registry:(Telemetry.create ()) ~spec ~seed:0 ())
+        in
+        if before_unlink then fault ();
+        Helpers.ok_fs (Vfs.remove_path ops "/victim");
+        if not before_unlink then fault ();
+        move_journal_tail ops;
+        Disk.set_fault disk Fault.none;
+        let ops2 = Ext3.ops (Ext3.mount disk) in
+        match Vfs.read_file ops2 "/victim" with
+        | Ok data ->
+            incr resurrected;
+            check tbool (Printf.sprintf "%s, pad %d: original bytes" what pad) true
+              (String.equal data victim)
+        | Error Vfs.ENOENT -> ()
+        | Error e -> Alcotest.failf "%s, pad %d: %s" what pad (Vfs.errno_to_string e)
+      done;
+      check tbool (what ^ ": some replay brought the file back") true (!resurrected > 0))
+    [
+      ("torn unlink frame", { Fault.quiet with torn_write = 1000; disk_until_op = 1 }, true);
+      ( "corrupted block of a pending unlink",
+        { Fault.quiet with corrupt_sector = 1000; disk_until_op = 1 },
+        false );
+    ]
 
 (* --- lasagna ------------------------------------------------------------- *)
 
@@ -680,6 +965,15 @@ let suite =
     Alcotest.test_case "ext3: journal compaction + replay" `Quick test_ext3_journal_compaction;
     Alcotest.test_case "ext3: no stale frames after compaction" `Quick
       test_ext3_no_stale_frames_after_compaction;
+    Alcotest.test_case "disk: discard frees a block" `Quick test_disk_discard;
+    Alcotest.test_case "disk: a discard is free" `Quick test_disk_discard_is_free;
+    Alcotest.test_case "ext3: rename over a directory is refused" `Quick test_ext3_rename_kinds;
+    Alcotest.test_case "ext3: unlinked pages keep their cache slots" `Quick
+      test_ext3_unlink_keeps_cache_slots;
+    Alcotest.test_case "ext3: crash sweep with unlinks" `Quick
+      test_ext3_crash_sweep_with_unlinks;
+    Alcotest.test_case "ext3: latent faults keep unlinked pages" `Quick
+      test_ext3_latent_fault_keeps_pages;
     Alcotest.test_case "lasagna: VFS passthrough + .pass hidden" `Quick test_lasagna_passthrough;
     Alcotest.test_case "lasagna: DPAPI write/read" `Quick test_lasagna_dpapi_write_read;
     Alcotest.test_case "lasagna: WAP ordering under crash" `Quick test_lasagna_wap_ordering;
