@@ -41,8 +41,6 @@ type instruments = {
   backpressure : Telemetry.counter; (* nfs.backpressure *)
   wb_queued : Telemetry.counter; (* nfs.wb_queued *)
   txns_abandoned : Telemetry.counter; (* nfs.txns_abandoned *)
-  batch_rpcs : Telemetry.counter; (* nfs.batch_rpcs *)
-  batched_writes : Telemetry.counter; (* nfs.batched_writes *)
   wb_backlog : Telemetry.gauge; (* nfs.wb_backlog: queued writes right now *)
 }
 
@@ -58,16 +56,15 @@ let instruments registry =
     backpressure = n "backpressure";
     wb_queued = n "wb_queued";
     txns_abandoned = n "txns_abandoned";
-    batch_rpcs = n "batch_rpcs";
-    batched_writes = n "batched_writes";
     wb_backlog = Telemetry.gauge ~registry "nfs.wb_backlog";
   }
 
-(* Write-behind buffers: the client coalesces contiguous streaming writes
-   up to the 64 KB block size before issuing one WRITE / OP_PASSWRITE, the
-   way a real NFS client's wsize batching works.  Close-to-open
-   consistency allows it: buffers are flushed before any read, getattr or
-   namespace operation.
+(* Write-behind buffers, one per kind (plain data, provenance): the
+   client coalesces contiguous streaming writes to one file up to the
+   64 KB block size before issuing one WRITE / OP_PASSWRITE, the way a
+   real NFS client's wsize batching works.  Close-to-open consistency
+   allows it: buffers are flushed before any read, getattr or namespace
+   operation.
 
    A buffer holds the caller's strings by reference with a running
    length: a run written in one piece is flushed as that same string, a
@@ -113,14 +110,13 @@ type t = {
   mutable seq : int;
   wb : wb_item Queue.t; (* provenance writes the server couldn't take *)
   wb_high_water : int;
-  piggyback : bool; (* coalesce independent writes into OP_PASSBATCH *)
   mutable crashed : bool;
   mutable plain_pending : plain_buf option;
-  mutable prov_pending : prov_buf list; (* newest first; one buffer per file *)
+  mutable prov_pending : prov_buf option;
 }
 
-let create ~registry ?(wb_high_water = 64) ?(piggyback = true)
-    ?(tracer = Pvtrace.disabled) ~net ~handler ~ctx ~mount_name () =
+let create ~registry ?(wb_high_water = 64) ?(tracer = Pvtrace.disabled) ~net ~handler ~ctx
+    ~mount_name () =
   {
     net; handler; ctx; mount_name;
     pnode_cache = Hashtbl.create 256;
@@ -131,10 +127,9 @@ let create ~registry ?(wb_high_water = 64) ?(piggyback = true)
     seq = 0;
     wb = Queue.create ();
     wb_high_water = max 1 wb_high_water;
-    piggyback;
     crashed = false;
     plain_pending = None;
-    prov_pending = [];
+    prov_pending = None;
   }
 
 let stats t : stats =
@@ -296,49 +291,68 @@ let file_handle t ino =
       | Proto.R_err e -> Error e
       | _ -> Error Vfs.EIO)
 
-(* --- transactions (exposed for crash tests) --------------------------------- *)
+(* --- transactions ----------------------------------------------------------- *)
 
-let begin_txn t =
-  match call t Proto.Op_begintxn with
-  | Proto.R_txn id ->
+(* The steps of a large write, each one call: [`Timeout] = the server
+   never answered, [`Err] = it answered with an error. *)
+let step_err = function
+  | Proto.R_err e -> `Err (lift_err e)
+  | _ -> `Err Dpapi.Eio
+
+let begin_step t =
+  match call_opt t Proto.Op_begintxn with
+  | None -> Error `Timeout
+  | Some (Proto.R_txn id) ->
       Telemetry.incr t.i.txns;
       Ok id
-  | Proto.R_err e -> Error (lift_err e)
-  | _ -> Error Dpapi.Eio
+  | Some resp -> Error (step_err resp)
 
-let send_prov_chunk t ~txn chunk =
-  match call t (Proto.Op_passprov { txn; chunk }) with
-  | Proto.R_ok -> Ok ()
-  | Proto.R_err e -> Error (lift_err e)
-  | _ -> Error Dpapi.Eio
+let prov_step t ~txn chunk =
+  match call_opt t (Proto.Op_passprov { txn; chunk }) with
+  | None -> Error `Timeout
+  | Some Proto.R_ok -> Ok ()
+  | Some resp -> Error (step_err resp)
 
-let end_txn_write t ~txn (h : Dpapi.handle) ~off ~data =
+let end_step t ~txn (h : Dpapi.handle) ~off ~data =
   let endtxn =
     [ Dpapi.entry h [ Record.make Record.Attr.endtxn (Pass_core.Pvalue.Int txn) ] ]
   in
   match
-    call t (Proto.Op_passwrite { pnode = h.pnode; off; data; bundle = endtxn; txn = Some txn })
+    call_opt t (Proto.Op_passwrite { pnode = h.pnode; off; data; bundle = endtxn; txn = Some txn })
   with
-  | Proto.R_version v -> Ok v
-  | Proto.R_err e -> Error (lift_err e)
-  | _ -> Error Dpapi.Eio
+  | None -> Error `Timeout
+  | Some (Proto.R_version v) -> Ok v
+  | Some resp -> Error (step_err resp)
+
+(* Exposed for crash tests: a timeout reads as EIO. *)
+let lift_step = function
+  | Ok v -> Ok v
+  | Error `Timeout -> Error Dpapi.Eio
+  | Error (`Err e) -> Error e
+
+let begin_txn t = lift_step (begin_step t)
+let send_prov_chunk t ~txn chunk = lift_step (prov_step t ~txn chunk)
+let end_txn_write t ~txn h ~off ~data = lift_step (end_step t ~txn h ~off ~data)
+
+(* Encoded-size budget for one OP_PASSWRITE run or provenance chunk
+   (headroom for the envelope framing). *)
+let envelope_budget = Proto.block_limit - 1024
 
 (* Split a bundle into chunks whose encoded size stays under the 64 KB
    client block size.  An entry whose own record list is oversized is
    split into several entries for the same target. *)
 let chunk_bundle bundle =
-  let budget = Proto.block_limit - 1024 in
   (* first explode oversized entries *)
   let exploded =
     List.concat_map
       (fun (e : Dpapi.bundle_entry) ->
-        if Dpapi.bundle_size [ e ] <= budget then [ e ]
+        if Dpapi.bundle_size [ e ] <= envelope_budget then [ e ]
         else begin
           let groups = ref [] and current = ref [] and size = ref 0 in
           List.iter
             (fun r ->
               let rsz = Record.encoded_size r in
-              if !size + rsz > budget && !current <> [] then begin
+              if !size + rsz > envelope_budget && !current <> [] then begin
                 groups := List.rev !current :: !groups;
                 current := [];
                 size := 0
@@ -355,7 +369,7 @@ let chunk_bundle bundle =
     | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
     | (e : Dpapi.bundle_entry) :: rest ->
         let sz = Dpapi.bundle_size [ e ] in
-        if current <> [] && current_size + sz > budget then
+        if current <> [] && current_size + sz > envelope_budget then
           go [ e ] sz (List.rev current :: acc) rest
         else go (e :: current) (current_size + sz) acc rest
   in
@@ -386,152 +400,56 @@ let send_passwrite_now t (h : Dpapi.handle) ~off ~data bundle =
     match call_opt t (Proto.Op_passwrite { pnode = h.pnode; off; data; bundle; txn = None }) with
     | None -> Error `Timeout
     | Some (Proto.R_version v) -> Ok v
-    | Some (Proto.R_err e) -> Error (`Err (lift_err e))
-    | Some _ -> Error (`Err Dpapi.Eio)
+    | Some resp -> Error (step_err resp)
   end
   else begin
-    let step req ok_of =
-      match call_opt t req with
-      | None -> Error `Timeout
-      | Some resp -> (
-          match ok_of resp with
-          | Some v -> Ok v
-          | None -> (
-              match resp with
-              | Proto.R_err e -> Error (`Err (lift_err e))
-              | _ -> Error (`Err Dpapi.Eio)))
-    in
     let ( let* ) = Result.bind in
-    let abandon r =
-      (* a transaction that dies part-way is abandoned: its server-side
-         fragment is an orphan for Waldo, and the whole write will be
-         replayed under a fresh transaction id *)
-      match r with
-      | Error `Timeout -> Telemetry.incr t.i.txns_abandoned; r
-      | _ -> r
+    let* txn = begin_step t in
+    let rec send_chunks = function
+      | [] -> Ok ()
+      | chunk :: rest ->
+          let* () = prov_step t ~txn chunk in
+          send_chunks rest
     in
-    let* txn =
-      step Proto.Op_begintxn (function Proto.R_txn id -> Some id | _ -> None)
-    in
-    Telemetry.incr t.i.txns;
-    abandon
-      (let* () =
-         List.fold_left
-           (fun acc chunk ->
-             let* () = acc in
-             step (Proto.Op_passprov { txn; chunk }) (function
-               | Proto.R_ok -> Some ()
-               | _ -> None))
-           (Ok ()) (chunk_bundle bundle)
-       in
-       step
-         (Proto.Op_passwrite
-            { pnode = h.pnode; off; data;
-              bundle =
-                [ Dpapi.entry h
-                    [ Record.make Record.Attr.endtxn (Pass_core.Pvalue.Int txn) ] ];
-              txn = Some txn })
-         (function Proto.R_version v -> Some v | _ -> None))
+    match
+      let* () = send_chunks (chunk_bundle bundle) in
+      end_step t ~txn h ~off ~data
+    with
+    | Error `Timeout as r ->
+        (* a transaction that dies part-way is abandoned: its server-side
+           fragment is an orphan for Waldo, and the whole write will be
+           replayed under a fresh transaction id *)
+        Telemetry.incr t.i.txns_abandoned;
+        r
+    | r -> r
   end
-
-(* --- piggybacked batches ------------------------------------------------------ *)
-
-(* Encoded-size budget for one OP_PASSBATCH envelope (headroom for the
-   item framing, mirroring the inline/transaction split). *)
-let batch_budget = Proto.block_limit - 1024
-let max_batch_items = 16
-
-let item_size (it : wb_item) =
-  Dpapi.bundle_size it.wi_bundle
-  + match it.wi_data with Some d -> String.length d | None -> 0
-
-(* One OP_PASSBATCH envelope carrying [items] (oldest first, combined
-   size within budget).  The whole batch travels under a single sequence
-   number, so a retransmitted or duplicated envelope hits the server's
-   duplicate-request cache as one unit and no item is ever re-applied.
-   [Ok v] = every item applied; [`Err (e, n)] = the first [n] items
-   applied, item [n] failed with [e] and the rest were not attempted. *)
-let send_batch_now t items =
-  Telemetry.incr t.i.batch_rpcs;
-  Telemetry.add t.i.batched_writes (List.length items);
-  let writes =
-    List.map
-      (fun (it : wb_item) ->
-        { Proto.bi_pnode = it.wi_handle.Dpapi.pnode; bi_off = it.wi_off;
-          bi_data = it.wi_data; bi_bundle = it.wi_bundle })
-      items
-  in
-  match call_opt t (Proto.Op_passbatch { writes }) with
-  | None -> Error `Timeout
-  | Some (Proto.R_batch resps) ->
-      let rec walk n last = function
-        | [] -> if n = List.length items then Ok last else Error (`Err (Dpapi.Eio, n))
-        | Proto.R_version v :: rest -> walk (n + 1) v rest
-        | Proto.R_err e :: _ -> Error (`Err (lift_err e, n))
-        | _ :: _ -> Error (`Err (Dpapi.Eio, n))
-      in
-      walk 0 0 resps
-  | Some (Proto.R_err e) -> Error (`Err (lift_err e, 0))
-  | Some _ -> Error (`Err (Dpapi.Eio, 0))
 
 (* --- write-behind backlog (graceful degradation under partition) ------------- *)
 
 let backlog t = Queue.length t.wb
 
-(* Replay queued writes in FIFO order, piggybacking inline-sized runs
-   into one OP_PASSBATCH envelope.  [`Blocked] = the server is still
-   unreachable; everything not yet applied stays queued. *)
+(* Replay queued writes one at a time, in FIFO order.  [`Blocked] = the
+   server is still unreachable; everything not yet applied stays
+   queued. *)
 let drain_backlog_internal t =
-  (* longest queue prefix that fits one envelope (never removes) *)
-  let batchable_prefix () =
-    let rec take seq acc n sz =
-      if n >= max_batch_items then List.rev acc
-      else
-        match Seq.uncons seq with
-        | Some (it, rest) ->
-            let s = item_size it in
-            if s <= batch_budget && sz + s <= batch_budget then
-              take rest (it :: acc) (n + 1) (sz + s)
-            else List.rev acc
-        | None -> List.rev acc
-    in
-    take (Queue.to_seq t.wb) [] 0 0
-  in
-  let pop_n n =
-    for _ = 1 to n do ignore (Queue.pop t.wb : wb_item) done;
+  let pop () =
+    ignore (Queue.pop t.wb : wb_item);
     Telemetry.set t.i.wb_backlog (float_of_int (Queue.length t.wb))
   in
   let rec go () =
     match Queue.peek_opt t.wb with
     | None -> Ok ()
     | Some it -> (
-        match if t.piggyback then batchable_prefix () else [] with
-        | [] | [ _ ] -> (
-            (* a lone or oversized head goes down the single-write path
-               (which picks the transaction route when necessary) *)
-            match
-              send_passwrite_now t it.wi_handle ~off:it.wi_off ~data:it.wi_data it.wi_bundle
-            with
-            | Ok _ ->
-                pop_n 1;
-                go ()
-            | Error `Timeout -> Error `Blocked
-            | Error (`Err e) ->
-                (* a hard server error is not transient: surface it rather
-                   than wedging the queue behind an unservable item *)
-                pop_n 1;
-                Error (`Err e))
-        | items -> (
-            match send_batch_now t items with
-            | Ok _ ->
-                pop_n (List.length items);
-                go ()
-            | Error `Timeout -> Error `Blocked
-            | Error (`Err (e, applied)) ->
-                (* the applied prefix and the failing item leave the
-                   queue; items behind them were not attempted and stay *)
-                pop_n (applied + 1);
-                Error (`Err e)))
+        match send_passwrite_now t it.wi_handle ~off:it.wi_off ~data:it.wi_data it.wi_bundle with
+        | Ok _ ->
+            pop ();
+            go ()
+        | Error `Timeout -> Error `Blocked
+        | Error (`Err e) ->
+            (* a hard server error is not transient: surface it rather
+               than wedging the queue behind an unservable item *)
+            pop ();
+            Error (`Err e))
   in
   go ()
 
@@ -547,14 +465,6 @@ let enqueue_wb t (h : Dpapi.handle) ~off ~data bundle =
     Ok (Ctx.current_version t.ctx h.pnode)
   end
 
-let enqueue_items t items =
-  List.fold_left
-    (fun acc (it : wb_item) ->
-      match acc with
-      | Error _ as e -> e
-      | Ok _ -> enqueue_wb t it.wi_handle ~off:it.wi_off ~data:it.wi_data it.wi_bundle)
-    (Ok 0) items
-
 let send_passwrite t (h : Dpapi.handle) ~off ~data bundle =
   let bundle = attach_pending t h bundle in
   match drain_backlog_internal t with
@@ -569,77 +479,22 @@ let send_passwrite t (h : Dpapi.handle) ~off ~data bundle =
       | Error (`Err e) -> Error e
       | Error `Timeout -> enqueue_wb t h ~off ~data bundle)
 
-(* Send an ordered run of independent writes, piggybacking inline-sized
-   groups into OP_PASSBATCH envelopes; an oversized item travels alone
-   (transaction path).  Timeouts park everything not yet acknowledged in
-   the backlog, in order, exactly like the single-write path. *)
-let send_items t items =
-  match drain_backlog_internal t with
-  | Error (`Err e) -> Error e
-  | Error `Blocked -> enqueue_items t items
-  | Ok () ->
-      let groups =
-        let rec go cur cur_sz acc = function
-          | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-          | it :: rest ->
-              let s = item_size it in
-              if s > batch_budget then
-                go [] 0
-                  ([ it ] :: (if cur = [] then acc else List.rev cur :: acc))
-                  rest
-              else if cur <> [] && (cur_sz + s > batch_budget || List.length cur >= max_batch_items)
-              then go [ it ] s (List.rev cur :: acc) rest
-              else go (it :: cur) (cur_sz + s) acc rest
-        in
-        go [] 0 [] items
-      in
-      let rec send last = function
-        | [] -> Ok last
-        | group :: gs -> (
-            match group with
-            | [ (it : wb_item) ] -> (
-                match
-                  send_passwrite_now t it.wi_handle ~off:it.wi_off ~data:it.wi_data it.wi_bundle
-                with
-                | Ok v -> send v gs
-                | Error (`Err e) -> Error e
-                | Error `Timeout -> enqueue_items t (List.concat (group :: gs)))
-            | _ -> (
-                match send_batch_now t group with
-                | Ok v -> send v gs
-                | Error (`Err (e, _)) -> Error e
-                | Error `Timeout -> enqueue_items t (List.concat (group :: gs))))
-      in
-      send 0 groups
-
 let drain_backlog t =
   match drain_backlog_internal t with
   | Ok () -> Ok ()
   | Error `Blocked -> Error Dpapi.Eagain
   | Error (`Err e) -> Error e
 
-(* Flush the DPAPI write-behind buffers: one OP_PASSWRITE (or transaction)
-   per file when a single file is pending, one OP_PASSBATCH envelope when
-   several files' coalesced writes ride together. *)
+(* Flush the provenance write-behind buffer: one OP_PASSWRITE, or a
+   transaction when it outgrew the block size with its records. *)
 let flush_prov t =
   match t.prov_pending with
-  | [] -> Ok 0
-  | [ vb ] ->
-      t.prov_pending <- [];
+  | None -> Ok 0
+  | Some vb ->
+      t.prov_pending <- None;
       send_passwrite t vb.vb_handle ~off:vb.vb_off
         ~data:(Some (contents vb.vb_data))
         (List.rev vb.vb_bundle)
-  | pending ->
-      t.prov_pending <- [];
-      let items =
-        List.rev_map
-          (fun vb ->
-            { wi_handle = vb.vb_handle; wi_off = vb.vb_off;
-              wi_data = Some (contents vb.vb_data);
-              wi_bundle = attach_pending t vb.vb_handle (List.rev vb.vb_bundle) })
-          pending
-      in
-      send_items t items
 
 (* --- VFS face -------------------------------------------------------------- *)
 
@@ -650,10 +505,10 @@ let flush t =
   | Error e -> Error (lower_err e)
   | Ok _ -> flush_plain t
 
-(* Close-to-open consistency: both write-behind buffers — the plain one
-   and the provenance/data riders — flush before any read, getattr or
-   namespace operation observes server state.  [reply] maps the answer;
-   the mappers close over nothing, so a call allocates no closure. *)
+(* Close-to-open consistency: both write-behind buffers — plain data and
+   provenance — flush before any read, getattr or namespace operation
+   observes server state.  [reply] maps the answer; the mappers close over
+   nothing, so a call allocates no closure. *)
 let flush_then t req reply =
   match flush t with Error e -> Error e | Ok () -> reply (call t req)
 
@@ -695,68 +550,41 @@ let pass_read t (h : Dpapi.handle) ~off ~len =
   | Proto.R_err e -> Error (lift_err e)
   | _ -> Error Dpapi.Eio
 
-let pending_size t =
-  List.fold_left
-    (fun n vb -> n + vb.vb_data.len + Dpapi.bundle_size vb.vb_bundle)
-    0 t.prov_pending
-
-let find_pending t (h : Dpapi.handle) =
-  List.find_opt (fun vb -> Pnode.equal vb.vb_handle.Dpapi.pnode h.pnode) t.prov_pending
-
 let pass_write t (h : Dpapi.handle) ~off ~data bundle =
   let ( let* ) = Result.bind in
-  match data with
-  | None ->
-      (* provenance-only: merge into this file's pending buffer, else send
-         through directly *)
-      (match find_pending t h with
-      | Some vb ->
-          vb.vb_bundle <- List.rev_append bundle vb.vb_bundle;
-          Ok (Ctx.current_version t.ctx h.pnode)
-      | None -> send_passwrite t h ~off ~data bundle)
-  | Some d ->
-      (* would appending [d] (plus its records) overflow the 64 KB client
-         block?  flush first so the coalesced writes stay a single
-         envelope (headroom for the encoded bundles).  With [piggyback] a
-         write to a new file starts a rider buffer instead of flushing,
-         so several small files travel in one OP_PASSBATCH. *)
+  match (data, t.prov_pending) with
+  | None, Some vb when Pnode.equal vb.vb_handle.Dpapi.pnode h.pnode ->
+      (* provenance-only: merge into this file's pending buffer *)
+      vb.vb_bundle <- List.rev_append bundle vb.vb_bundle;
+      Ok (Ctx.current_version t.ctx h.pnode)
+  | None, _ -> send_passwrite t h ~off ~data bundle
+  | Some d, pending ->
       let incoming = String.length d + Dpapi.bundle_size bundle in
-      if incoming > batch_budget then
-        (* can never ride an envelope: flush what is queued (order) and
+      if incoming > envelope_budget then
+        (* can never fit one envelope: flush what is queued (order) and
            send straight down — the transaction path takes over *)
         let* _ = flush_prov t in
         send_passwrite t h ~off ~data bundle
-      else
-      let contiguous =
-        match find_pending t h with
-        | Some vb -> vb.vb_off + vb.vb_data.len = off
-        | None -> false
-      in
-      let room = pending_size t + incoming <= batch_budget in
-      let fits = contiguous && room in
-      let rides =
-        t.piggyback && find_pending t h = None && room
-        && List.length t.prov_pending < max_batch_items
-      in
-      let* () =
-        if fits || rides then Ok ()
-        else match flush_prov t with Ok _ -> Ok () | Error e -> Error e
-      in
-      let vb =
-        match find_pending t h with
-        | Some vb ->
+      else begin
+        (* extend the pending run only with a contiguous write to the same
+           file that keeps it within one envelope; anything else flushes
+           it first and starts a new one *)
+        match pending with
+        | Some vb
+          when Pnode.equal vb.vb_handle.Dpapi.pnode h.pnode
+               && vb.vb_off + vb.vb_data.len = off
+               && vb.vb_data.len + Dpapi.bundle_size vb.vb_bundle + incoming <= envelope_budget ->
             add_piece vb.vb_data d;
-            vb
-        | None ->
-            let vb = { vb_handle = h; vb_off = off; vb_data = pieces d; vb_bundle = [] } in
-            t.prov_pending <- vb :: t.prov_pending;
-            vb
-      in
-      vb.vb_bundle <- List.rev_append bundle vb.vb_bundle;
-      if (not t.piggyback) && String.length d < 4096 then
-        let* _v = flush_prov t in
-        Ok (Ctx.current_version t.ctx h.pnode)
-      else Ok (Ctx.current_version t.ctx h.pnode)
+            vb.vb_bundle <- List.rev_append bundle vb.vb_bundle;
+            Ok (Ctx.current_version t.ctx h.pnode)
+        | _ -> (
+            match flush_prov t with
+            | Error e -> Error e
+            | Ok _ ->
+                t.prov_pending <-
+                  Some { vb_handle = h; vb_off = off; vb_data = pieces d; vb_bundle = List.rev bundle };
+                Ok (Ctx.current_version t.ctx h.pnode))
+      end
 
 let pass_freeze t (h : Dpapi.handle) =
   let old_version = Ctx.current_version t.ctx h.pnode in

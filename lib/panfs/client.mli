@@ -6,10 +6,10 @@
     record travels to the server inside the next OP_PASSWRITE for that
     file, so [pass_read] answers with the correct version without a
     round trip.  Writes larger than the 64 KB block size are
-    encapsulated in transactions; contiguous streaming writes are
-    coalesced up to the block size (NFS wsize write-behind), flushed
-    before any read/getattr/namespace operation (close-to-open
-    consistency).
+    encapsulated in transactions; contiguous streaming writes to one
+    file are coalesced up to the block size (NFS wsize write-behind) in
+    one buffer per kind, plain data and provenance, flushed before any
+    read/getattr/namespace operation (close-to-open consistency).
 
     Host cost (DESIGN §18): the write-behind holds the caller's strings
     by reference — a run written in one piece is sent as that same
@@ -34,7 +34,6 @@ type stats = {
 val create :
   registry:Telemetry.registry ->
   ?wb_high_water:int ->
-  ?piggyback:bool ->
   ?tracer:Pvtrace.t ->
   net:Proto.net ->
   handler:(Proto.call -> Proto.resp) ->
@@ -50,12 +49,10 @@ val create :
     write-behind backlog used to ride out partitions: past it, provenance
     writes fail with [Eagain] (backpressure).
 
-    [piggyback] (the default) lets coalesced writes to several files ride
-    one [OP_PASSBATCH] envelope instead of one RPC each, and lets the
-    backlog drain in batched envelopes; each envelope travels under a
-    single sequence number, so replays hit the server's duplicate-request
-    cache as one unit.  [~piggyback:false] restores one RPC per write for
-    A/B comparison. *)
+    The provenance write-behind holds one file's run at a time: a data
+    write that does not extend it (another file, a non-contiguous
+    offset, or past the envelope budget) flushes it first, as one
+    OP_PASSWRITE.  The client never sends [OP_PASSBATCH]. *)
 
 val stats : t -> stats
 (** A point-in-time view over the [panfs.*] telemetry counters. *)
@@ -69,8 +66,8 @@ val endpoint : t -> Dpapi.endpoint
 val file_handle : t -> Vfs.ino -> (Dpapi.handle, Vfs.errno) result
 
 val flush : t -> (unit, Vfs.errno) result
-(** Push both write-behind buffers (plain data and piggybacked
-    provenance) to the server now.  Intended as the [?flush] close-to-open
+(** Push both write-behind buffers (plain data and provenance) to the
+    server now.  Intended as the [?flush] close-to-open
     hook of {!Kernel.mount}; a partition parks provenance writes in the
     backlog instead of failing. *)
 
@@ -79,8 +76,9 @@ val flush : t -> (unit, Vfs.errno) result
     When the server stops answering (partition, restart), the retry
     budget is exhausted and provenance writes are parked in a bounded
     write-behind backlog instead of failing the application; past the
-    high-water mark they fail with [Eagain].  The backlog replays in
-    FIFO order before any new provenance write, read, or sync. *)
+    high-water mark they fail with [Eagain].  The backlog replays one
+    write at a time, in FIFO order, before any new provenance write,
+    read, or sync. *)
 
 val backlog : t -> int
 (** Provenance writes currently parked awaiting the server. *)

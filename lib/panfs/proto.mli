@@ -49,7 +49,7 @@ type req =
           envelope.  The server applies them in order and the whole batch
           shares one duplicate-request-cache entry, so a replayed
           envelope replays the cached replies instead of re-applying any
-          item. *)
+          item.  {!Client} never sends it; the server still executes it. *)
 
 type resp =
   | R_err of Vfs.errno

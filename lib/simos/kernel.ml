@@ -264,7 +264,7 @@ let close t ~pid ~fd =
   | Some e ->
       Hashtbl.remove p.fds fd;
       (* close-to-open consistency: a remote mount pushes its write-behind
-         buffers (data and piggybacked provenance) to the server on close *)
+         buffers (data and provenance) to the server on close *)
       (match e.fd_mount.m_flush with Some f -> f () | None -> Ok ())
   | None -> Error Vfs.EBADF
 

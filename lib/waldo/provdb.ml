@@ -662,13 +662,7 @@ let serialize ?range t =
 
 let deserialize image =
   let pos = ref 0 in
-  let version =
-    match Wire.get_string image pos with
-    | "PROVDB4" -> 4
-    | "PROVDB3" -> 3 (* pre-planner images: no index-stats footer *)
-    | "PROVDB2" -> 2 (* pre-floor images, still loadable *)
-    | _ -> Wire.corrupt "provdb: bad magic"
-  in
+  if Wire.get_string image pos <> "PROVDB4" then Wire.corrupt "provdb: bad magic";
   let t = create () in
   let n_nodes = Wire.get_u32 image pos in
   for _ = 1 to n_nodes do
@@ -676,7 +670,7 @@ let deserialize image =
     let kind = Wire.get_u8 image pos in
     let name = Wire.get_string image pos in
     let maxv = Wire.get_i64 image pos in
-    let floor = if version >= 3 then Wire.get_i64 image pos else 0 in
+    let floor = Wire.get_i64 image pos in
     (match kind with
     | 1 -> set_file t pnode ~name
     | _ ->
@@ -705,12 +699,10 @@ let deserialize image =
     let record = Record.decode image pos in
     add_record t pnode ~version record
   done;
-  if version >= 4 then begin
-    let edges = Wire.get_i64 image pos in
-    let attr_total = Wire.get_i64 image pos in
-    if edges <> t.edge_count || attr_total <> attr_entry_total t then
-      Wire.corrupt "provdb: index-stats footer disagrees with rebuilt indexes"
-  end;
+  let edges = Wire.get_i64 image pos in
+  let attr_total = Wire.get_i64 image pos in
+  if edges <> t.edge_count || attr_total <> attr_entry_total t then
+    Wire.corrupt "provdb: index-stats footer disagrees with rebuilt indexes";
   t
 
 (* --- in-place expiry ------------------------------------------------------- *)

@@ -170,10 +170,9 @@ val serialize : ?range:range -> t -> string
 (** The image of [range] (default [All]) as a string. *)
 
 val deserialize : string -> t
-(** Loads PROVDB4 images as well as the older PROVDB3/PROVDB2 formats
-    (which lack the stats footer); secondary indexes are rebuilt either
-    way, so pre-planner images gain the new indexes on load.
-    @raise Wire.Corrupt on a malformed image, or when a PROVDB4 footer
+(** Loads a PROVDB4 image, rebuilding the secondary indexes.
+    @raise Wire.Corrupt on a malformed image, any other magic (the
+    footer-less PROVDB3/PROVDB2 formats included), or when the footer
     disagrees with the rebuilt indexes. *)
 
 val merge_into : dst:t -> src:t -> unit

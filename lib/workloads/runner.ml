@@ -83,7 +83,7 @@ let nfs_system ~registry ?tracer ?monitor ?batching mode =
   in
   let net = Proto.net clock in
   let client =
-    Client.create ~registry ?tracer ?piggyback:batching ~net ~handler:(Server.handle server)
+    Client.create ~registry ?tracer ~net ~handler:(Server.handle server)
       ~ctx:(Kernel.ctx (System.kernel sys))
       ~mount_name:"vol0" ()
   in

@@ -26,9 +26,9 @@ val nfs_system :
   System.mode ->
   System.t * Server.t
 (** [batching] (default on) threads through to {!System.create} (observer
-    bursts, Lasagna group commit) and, for {!nfs_system}, to the PA-NFS
-    client's [piggyback]; [~batching:false] restores one record / one frame
-    / one RPC at a time for A/B comparison.  [tracer] and [monitor] thread
+    bursts, Lasagna group commit); [~batching:false] restores one record /
+    one frame at a time for A/B comparison.  It does not reach the PA-NFS
+    client, whose write-behind has no switch.  [tracer] and [monitor] thread
     through to {!System.create} (for {!nfs_system} the tracer is shared
     with the server, so server spans parent onto client RPC spans, and
     the monitor scrapes the shared registry). *)

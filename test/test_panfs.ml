@@ -312,7 +312,7 @@ let test_server_disk_crash () =
        Result.bind
          (Client.pass_write client h ~off:0 ~data:(Some (Helpers.payload ~seed:3 ~len:2048)) [])
          (fun _ ->
-           (* the piggybacked write reaches the wire at the flush point *)
+           (* the buffered write reaches the wire at the flush point *)
            match Client.flush client with
            | Ok () -> Ok 0
            | Error Vfs.ECRASH -> Error Dpapi.Ecrashed
@@ -582,7 +582,7 @@ let test_proto_sizes () =
 (* A PA server and client on one clock, over a link whose fault plan
    draws every kind of network fault, so retries, DRC replays, lost
    replies and partitions all charge the clock. *)
-let faulty_link ~seed ~piggyback ~handler_hook =
+let faulty_link ~seed ~handler_hook =
   let registry = Telemetry.create () in
   let clock = Simdisk.Clock.create () in
   let spec =
@@ -595,15 +595,15 @@ let faulty_link ~seed ~piggyback ~handler_hook =
   let server = Server.create ~registry ~mode:Server.Pass_enabled ~clock ~machine:2 ~volume:"nfs0" () in
   let net = Proto.net ~fault:plan clock in
   let client =
-    Client.create ~registry ~piggyback ~net
+    Client.create ~registry ~net
       ~handler:(fun c -> handler_hook c; Server.handle server c)
       ~ctx:(Ctx.create ~machine:1) ~mount_name:"nfs0" ()
   in
   (registry, clock, plan, net, client)
 
 (* Every RPC kind the client issues, with replies of every size: plain
-   streaming and short writes, riders, a transactional write, reads of
-   data and provenance, namespace operations and syncs. *)
+   streaming and short writes, coalesced provenance runs, a transactional
+   write, reads of data and provenance, namespace operations and syncs. *)
 let transport_workload client =
   let ops = Client.ops client in
   let ignore_fs : 'a. ('a, Vfs.errno) result -> unit = fun _ -> () in
@@ -629,8 +629,9 @@ let transport_workload client =
         match Client.file_handle client ino with Ok h -> Some (k, h) | Error _ -> None)
       inos
   in
-  (* riders: contiguous pieces per file, several files per envelope; an
-     oversized write flushes them and takes the transaction path *)
+  (* provenance: two contiguous pieces per file coalesce into one run,
+     flushed by the next file's write; an oversized write flushes the run
+     and takes the transaction path *)
   List.iter
     (fun (k, h) ->
       let bundle j =
@@ -657,14 +658,12 @@ let transport_workload client =
   ignore_fs (ops.truncate (List.assoc 3 inos) 100)
 
 let test_transport_costs_unchanged () =
-  let sums = Array.make 12 0 in
+  let sums = Array.make 10 0 in
   let kinds = [ "drop_request"; "drop_response"; "duplicate"; "delay"; "partition" ] in
   let injected = Hashtbl.create 8 in
   List.iter
-    (fun (seed, piggyback) ->
-      let registry, clock, plan, net, client =
-        faulty_link ~seed ~piggyback ~handler_hook:(fun _ -> ())
-      in
+    (fun seed ->
+      let registry, clock, plan, net, client = faulty_link ~seed ~handler_hook:(fun _ -> ()) in
       transport_workload client;
       (* faults clear: everything parked drains *)
       Fault.deactivate plan;
@@ -681,27 +680,26 @@ let test_transport_costs_unchanged () =
       List.iteri
         (fun k x -> sums.(k) <- sums.(k) + x)
         [ Simdisk.Clock.now clock; net.Proto.messages; net.bytes; st.rpcs; st.retries; st.txns;
-          st.inline_writes; v "nfs.batch_rpcs"; v "nfs.batched_writes"; v "nfs.drc.hits";
-          rtt.count; int_of_float rtt.sum ])
-    [ (3, true); (3, false); (17, true); (17, false); (41, true); (41, false) ];
+          st.inline_writes; v "nfs.drc.hits"; rtt.count; int_of_float rtt.sum ])
+    [ 3; 17; 41 ];
   List.iter
     (fun kind -> check tbool (kind ^ " injected") true (Hashtbl.find injected kind > 0))
     kinds;
-  (* golden values produced by the copying transport and write-behind *)
+  (* golden values produced by the copying transport and write-behind,
+     with its provenance write-behind holding one file at a time *)
   check Alcotest.(list int)
-    "clock, messages, bytes, rpcs, retries, txns, inline, batch rpcs/writes, DRC hits, \
-     rpc_latency count/sum"
-    [ 1441400295; 1229; 3753211; 549; 56; 12; 30; 9; 30; 54; 549; 1412148825 ]
+    "clock, messages, bytes, rpcs, retries, txns, inline, DRC hits, rpc_latency count/sum"
+    [ 738313302; 638; 1860880; 285; 29; 6; 30; 28; 285; 723687567 ]
     (Array.to_list sums)
 
 (* Write-behind by reference: random streams of contiguous and scattered,
    short and large writes over several files, through the plain buffer or
-   the provenance riders, with piggybacking on or off.  After a flush the
+   the provenance buffer.  After a flush the
    server holds exactly what a flat per-file model says, and the request
    datagrams are the ones the copying buffers sent (MD5 pinned). *)
 type wb_write = { w_file : int; w_at : int option (* None = append *); w_len : int; w_fill : int }
 type wb_step = Wb_write of wb_write | Wb_barrier
-type wb_prog = { wp_piggyback : bool; wp_prov : bool; wp_steps : wb_step list }
+type wb_prog = { wp_prov : bool; wp_steps : wb_step list }
 
 let gen_wb_prog =
   let open QCheck2.Gen in
@@ -716,12 +714,10 @@ let gen_wb_prog =
          (int_range 0 25))
   in
   let step = frequency [ (9, map (fun w -> Wb_write w) write); (1, pure Wb_barrier) ] in
-  map
-    (fun ((wp_piggyback, wp_prov), wp_steps) -> { wp_piggyback; wp_prov; wp_steps })
-    (pair (pair bool bool) (list_size (int_range 1 16) step))
+  map (fun (wp_prov, wp_steps) -> { wp_prov; wp_steps }) (pair bool (list_size (int_range 1 16) step))
 
 let print_wb_prog p =
-  Printf.sprintf "{piggyback=%b; prov=%b; steps=[%s]}" p.wp_piggyback p.wp_prov
+  Printf.sprintf "{prov=%b; steps=[%s]}" p.wp_prov
     (String.concat "; "
        (List.map
           (function
@@ -750,8 +746,7 @@ let run_wb_prog p =
     Server.handle server c
   in
   let client =
-    Client.create ~registry ~piggyback:p.wp_piggyback ~net ~handler ~ctx:(Ctx.create ~machine:1)
-      ~mount_name:"nfs0" ()
+    Client.create ~registry ~net ~handler ~ctx:(Ctx.create ~machine:1) ~mount_name:"nfs0" ()
   in
   let ops = Client.ops client in
   let files =
@@ -796,8 +791,80 @@ let prop_write_behind =
 let test_write_behind_model () =
   Buffer.clear wb_wire;
   QCheck2.Test.check_exn ~rand:(Random.State.make [| 0x5eb |]) prop_write_behind;
-  check tstr "MD5 over every request datagram" "1dfb6f3b807280bbd04455a9e82abd1d"
+  check tstr "MD5 over every request datagram" "c145ce040217bf7557ec65183f9073be"
     (Digest.to_hex (Digest.string (Buffer.contents wb_wire)))
+
+(* The server still executes OP_PASSBATCH (wire tag 28), though the client
+   never sends it: items apply in order up to the first error, and the
+   whole envelope is one duplicate-request-cache entry. *)
+let test_server_passbatch () =
+  let registry = Telemetry.create () in
+  let clock = Simdisk.Clock.create () in
+  let server =
+    Server.create ~registry ~mode:Server.Pass_enabled ~clock ~machine:2 ~volume:"nfs0" ()
+  in
+  let send c_seq req =
+    Server.handle server { Proto.c_client = 7; c_seq; c_trace = 0; c_span = 0; c_req = req }
+  in
+  let seq = ref 0 in
+  let call req =
+    incr seq;
+    send !seq req
+  in
+  let file name =
+    match call (Proto.Create { dir = Ext3.root_ino; name; kind = Vfs.Regular }) with
+    | Proto.R_ino ino -> (
+        match call (Proto.Op_pnode { ino }) with
+        | Proto.R_handle { pnode } -> (ino, pnode)
+        | _ -> Alcotest.fail "pnode")
+    | _ -> Alcotest.fail "create"
+  in
+  let ino_a, pa = file "a" and ino_b, pb = file "b" and _, pc = file "c" in
+  (* a write to a removed file fails (ESTALE) *)
+  (match call (Proto.Remove { dir = Ext3.root_ino; name = "c" }) with
+  | Proto.R_ok -> ()
+  | _ -> Alcotest.fail "remove");
+  let item pnode data tag =
+    let h = Dpapi.handle ~volume:"nfs0" pnode in
+    { Proto.bi_pnode = pnode; bi_off = 0; bi_data = Some data;
+      bi_bundle = [ Dpapi.entry h [ Record.make "PARAMS" (Pvalue.Str tag) ] ] }
+  in
+  let batch =
+    Proto.Op_passbatch
+      { writes = [ item pa "first" "item1"; item pc "second" "item2"; item pb "third" "item3" ] }
+  in
+  let reply = call batch in
+  let batch_seq = !seq in
+  (match reply with
+  | Proto.R_batch [ Proto.R_version _; Proto.R_err _ ] -> ()
+  | _ -> Alcotest.fail "expected R_batch [R_version _; R_err _]");
+  let read ino =
+    match call (Proto.Read { ino; off = 0; len = 64 }) with
+    | Proto.R_data d -> d
+    | _ -> Alcotest.fail "read"
+  in
+  check tstr "item 1 applied" "first" (read ino_a);
+  check tstr "item 3 not applied" "" (read ino_b);
+  ignore (Server.drain server : int);
+  let db = Option.get (Server.db server) in
+  let params p =
+    List.filter (fun (q : Provdb.quad) -> q.q_attr = "PARAMS") (Provdb.records_all db p)
+  in
+  check tint "item 1's record ingested" 1 (List.length (params pa));
+  check tint "item 3's record not ingested" 0 (List.length (params pb));
+  let image = Provdb.serialize db in
+  let v name = Option.value (Telemetry.counter_value registry name) ~default:0 in
+  let hits = v "nfs.drc.hits" and requests = v "panfs.server.requests" in
+  let now = Simdisk.Clock.now clock in
+  (* a retransmitted envelope replays the cached reply *)
+  check tbool "replay returns the cached reply" true (send batch_seq batch = reply);
+  check tint "one DRC hit" (hits + 1) (v "nfs.drc.hits");
+  check tint "no item re-executed" requests (v "panfs.server.requests");
+  check tint "replay costs no server time" now (Simdisk.Clock.now clock);
+  ignore (Server.drain server : int);
+  check tbool "provdb unchanged by the replay" true (String.equal image (Provdb.serialize db));
+  check tstr "item 1 applied once" "first" (read ino_a);
+  check tstr "item 3 still not applied" "" (read ino_b)
 
 let suite =
   [
@@ -823,4 +890,6 @@ let suite =
       test_server_crash_mid_txn;
     Alcotest.test_case "panfs: transport costs unchanged" `Quick test_transport_costs_unchanged;
     Alcotest.test_case "panfs: write-behind matches a flat model" `Quick test_write_behind_model;
+    Alcotest.test_case "server: OP_PASSBATCH stops at the first error and replays from the DRC"
+      `Quick test_server_passbatch;
   ]

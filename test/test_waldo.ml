@@ -905,6 +905,18 @@ let prop_cases =
     (fun t -> QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xc4e7 |]) t)
     [ prop_live_is_rebuild ]
 
+(* Only PROVDB4 loads: the same image relabelled PROVDB3 and stripped of
+   its 16-byte index-stats footer (the older format) is corrupt. *)
+let test_provdb_old_format_rejected () =
+  let db, _, _, _, _, _ = Test_pql.sample_db () in
+  let image = Provdb.serialize db in
+  check Alcotest.string "magic after its length" "PROVDB4" (String.sub image 4 7);
+  let v3 = Bytes.of_string (String.sub image 0 (String.length image - 16)) in
+  Bytes.set v3 10 '3';
+  match Provdb.deserialize (Bytes.to_string v3) with
+  | exception Wire.Corrupt _ -> ()
+  | _ -> Alcotest.fail "PROVDB3 image accepted"
+
 let suite =
   [
     Alcotest.test_case "ingestion fidelity" `Quick test_ingestion_fidelity;
@@ -931,3 +943,4 @@ let suite =
     Alcotest.test_case "log names are exact" `Quick test_log_seq_exact;
   ]
   @ prop_cases
+  @ [ Alcotest.test_case "provdb rejects PROVDB3 images" `Quick test_provdb_old_format_rejected ]
