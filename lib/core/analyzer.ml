@@ -65,10 +65,8 @@ let create ~registry ?(charge = fun _ -> ()) ?(dedup = true) ?(dedup_capacity = 
   { ctx; lower; seen = Hashtbl.create 4096; dedup_capacity; i = instruments registry; charge;
     dedup_enabled = dedup; tracer }
 
-let duplicate t pnode version record =
-  Hashtbl.mem t.seen (pnode, version, record)
-
-let remember t pnode version record =
+(* [key] is [(pnode, version, record)], built once per record. *)
+let remember t key =
   if t.dedup_enabled then begin
     (* bounded memory: when the table fills, drop the whole epoch.  This
        is conservative — forgetting only means a duplicate may be
@@ -77,7 +75,7 @@ let remember t pnode version record =
       Hashtbl.reset t.seen;
       Telemetry.incr t.i.dedup_evictions
     end;
-    Hashtbl.replace t.seen (pnode, version, record) ()
+    Hashtbl.replace t.seen key ()
   end
 
 (* Emit the records that materialize a freeze of [target]: a FREEZE marker
@@ -98,7 +96,7 @@ let do_freeze t (target : Dpapi.handle) =
     ~pnode:(Pnode.to_int target.pnode) ~outcome:"cycle_broken" ();
   t.charge cost_per_freeze;
   let records = freeze_records old_version new_version target in
-  List.iter (remember t target.pnode new_version) records;
+  List.iter (fun r -> remember t (target.pnode, new_version, r)) records;
   (new_version, Dpapi.entry target records)
 
 (* Process one bundle entry: cycle-avoid ancestry records, dedup everything.
@@ -139,14 +137,14 @@ let process_entry t (e : Dpapi.bundle_entry) =
           end;
         Ctx.mark_out t.ctx x ~version:(Ctx.current_version t.ctx x)
     | Some _ | None -> ());
-    let version = Ctx.current_version t.ctx target.pnode in
-    if t.dedup_enabled && duplicate t target.pnode version record then begin
+    let key = (target.pnode, Ctx.current_version t.ctx target.pnode, record) in
+    if t.dedup_enabled && Hashtbl.mem t.seen key then begin
       Telemetry.incr t.i.duplicates_dropped;
       Pvtrace.event t.tracer ~layer:"analyzer" ~op:"dedup"
         ~pnode:(Pnode.to_int target.pnode) ~outcome:"deduped" ()
     end
     else begin
-      remember t target.pnode version record;
+      remember t key;
       out := record :: !out
     end
   in

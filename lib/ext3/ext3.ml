@@ -53,6 +53,7 @@ type t = {
   mutable cache_hits : int;
   mutable cache_misses : int;
   pending : pending Queue.t; (* oldest unlink first *)
+  jbuf : Buffer.t; (* the journal record being framed *)
 }
 
 let root_ino = 1
@@ -132,10 +133,8 @@ let decode_jrec s pos =
   | n -> Wire.corrupt "ext3 journal: bad record tag %d" n
 
 (* A weak but adequate frame checksum: detects torn frames after a crash. *)
-let checksum payload =
-  let h = ref 0 in
-  String.iter (fun c -> h := ((!h * 131) + Char.code c) land 0x3fffffff) payload;
-  !h
+let checksum_step h c = ((h * 131) + Char.code c) land 0x3fffffff
+let checksum payload = String.fold_left checksum_step 0 payload
 
 (* --- in-memory state helpers -------------------------------------------- *)
 
@@ -281,29 +280,33 @@ let discard_ready t =
       i.blocks
   done
 
+(* A frame is a 12-byte header (epoch magic, length, checksum) and the
+   encoded record, built in one allocation: the record is encoded into
+   [jbuf], then copied once behind the header.  Resetting [jbuf] gives
+   back the room a snapshot made it grow. *)
 let rec journal_append t rec_ =
-  let payload =
-    let buf = Buffer.create 64 in
-    encode_jrec buf rec_;
-    Buffer.contents buf
-  in
-  let frame =
-    let buf = Buffer.create (String.length payload + 12) in
-    Wire.put_u32 buf (epoch_magic t.epoch);
-    Wire.put_u32 buf (String.length payload);
-    Wire.put_u32 buf (checksum payload);
-    Buffer.add_string buf payload;
-    Buffer.contents buf
-  in
-  if t.journal_tail + String.length frame + 12 > journal_capacity t then begin
+  let buf = t.jbuf in
+  Buffer.reset buf;
+  encode_jrec buf rec_;
+  let len = Buffer.length buf in
+  if t.journal_tail + len + 24 > journal_capacity t then begin
     compact_journal t;
     journal_append t rec_
   end
   else begin
+    let frame = Bytes.create (12 + len) in
+    Buffer.blit buf 0 frame 12 len;
+    let sum = ref 0 in
+    for k = 12 to 11 + len do
+      sum := checksum_step !sum (Bytes.unsafe_get frame k)
+    done;
+    let (_ : int) = Wire.set_u32 frame 0 (epoch_magic t.epoch) in
+    let (_ : int) = Wire.set_u32 frame 4 len in
+    let (_ : int) = Wire.set_u32 frame 8 !sum in
     let off = (t.jstart * Simdisk.Disk.block_size) + t.journal_tail in
-    Simdisk.Disk.write_bytes t.disk ~off frame;
-    t.journal_tail <- t.journal_tail + String.length frame;
-    t.journal_bytes_written <- t.journal_bytes_written + String.length frame;
+    Simdisk.Disk.write_bytes t.disk ~off (Bytes.unsafe_to_string frame);
+    t.journal_tail <- t.journal_tail + 12 + len;
+    t.journal_bytes_written <- t.journal_bytes_written + 12 + len;
     discard_ready t
   end
 
@@ -342,6 +345,7 @@ let make ?(jblocks = default_jblocks) disk =
     cache_hits = 0;
     cache_misses = 0;
     pending = Queue.create ();
+    jbuf = Buffer.create 256;
   }
 
 let set_cache_capacity t blocks =

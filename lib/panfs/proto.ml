@@ -104,43 +104,63 @@ let decode_batch_item s pos =
   let bi_bundle = Dpapi.decode_bundle s pos in
   { bi_pnode; bi_off; bi_data; bi_bundle }
 
-let encode_req buf req =
+(* Bulk payloads: the file data of [Write] and [Op_passwrite].  Inline,
+   a payload follows its u32 length; by reference, the datagram carries
+   only the length and the string travels beside it.  [put_payload]
+   returns the offset just past the length — where the bytes sit inline,
+   so the inline form is the header with each payload spliced back in. *)
+let put_payload ~by_ref buf d =
+  Wire.put_u32 buf (String.length d);
+  let at = Buffer.length buf in
+  if not by_ref then Buffer.add_string buf d;
+  at
+
+(* The one request encoder.  Returns where the payload splices into the
+   header (see [put_payload]), or [-1] for a request without one. *)
+let encode_req_in ~by_ref buf req =
   let open Wire in
   match req with
   | Lookup { dir; name } ->
-      put_u8 buf 1; put_i64 buf dir; put_string buf name
+      put_u8 buf 1; put_i64 buf dir; put_string buf name; -1
   | Create { dir; name; kind } ->
-      put_u8 buf 2; put_i64 buf dir; put_string buf name; put_u8 buf (kind_tag kind)
-  | Remove { dir; name } -> put_u8 buf 3; put_i64 buf dir; put_string buf name
+      put_u8 buf 2; put_i64 buf dir; put_string buf name; put_u8 buf (kind_tag kind); -1
+  | Remove { dir; name } -> put_u8 buf 3; put_i64 buf dir; put_string buf name; -1
   | Rename { src_dir; src_name; dst_dir; dst_name } ->
       put_u8 buf 4; put_i64 buf src_dir; put_string buf src_name;
-      put_i64 buf dst_dir; put_string buf dst_name
-  | Getattr { ino } -> put_u8 buf 5; put_i64 buf ino
-  | Readdir { ino } -> put_u8 buf 6; put_i64 buf ino
-  | Read { ino; off; len } -> put_u8 buf 7; put_i64 buf ino; put_i64 buf off; put_i64 buf len
-  | Write { ino; off; data } -> put_u8 buf 8; put_i64 buf ino; put_i64 buf off; put_string buf data
-  | Truncate { ino; size } -> put_u8 buf 9; put_i64 buf ino; put_i64 buf size
-  | Commit { ino } -> put_u8 buf 10; put_i64 buf ino
+      put_i64 buf dst_dir; put_string buf dst_name; -1
+  | Getattr { ino } -> put_u8 buf 5; put_i64 buf ino; -1
+  | Readdir { ino } -> put_u8 buf 6; put_i64 buf ino; -1
+  | Read { ino; off; len } ->
+      put_u8 buf 7; put_i64 buf ino; put_i64 buf off; put_i64 buf len; -1
+  | Write { ino; off; data } ->
+      put_u8 buf 8; put_i64 buf ino; put_i64 buf off; put_payload ~by_ref buf data
+  | Truncate { ino; size } -> put_u8 buf 9; put_i64 buf ino; put_i64 buf size; -1
+  | Commit { ino } -> put_u8 buf 10; put_i64 buf ino; -1
   | Op_passread { pnode; off; len } ->
-      put_u8 buf 20; put_i64 buf (Pnode.to_int pnode); put_i64 buf off; put_i64 buf len
+      put_u8 buf 20; put_i64 buf (Pnode.to_int pnode); put_i64 buf off; put_i64 buf len; -1
   | Op_passwrite { pnode; off; data; bundle; txn } ->
       put_u8 buf 21;
       put_i64 buf (Pnode.to_int pnode);
       put_i64 buf off;
-      (match data with
-      | None -> put_u8 buf 0
-      | Some d -> put_u8 buf 1; put_string buf d);
+      let at =
+        match data with
+        | None -> put_u8 buf 0; -1
+        | Some d -> put_u8 buf 1; put_payload ~by_ref buf d
+      in
       Dpapi.encode_bundle buf bundle;
-      (match txn with None -> put_u8 buf 0 | Some id -> put_u8 buf 1; put_i64 buf id)
-  | Op_begintxn -> put_u8 buf 22
+      (match txn with None -> put_u8 buf 0 | Some id -> put_u8 buf 1; put_i64 buf id);
+      at
+  | Op_begintxn -> put_u8 buf 22; -1
   | Op_passprov { txn; chunk } ->
-      put_u8 buf 23; put_i64 buf txn; Dpapi.encode_bundle buf chunk
-  | Op_passmkobj -> put_u8 buf 24
+      put_u8 buf 23; put_i64 buf txn; Dpapi.encode_bundle buf chunk; -1
+  | Op_passmkobj -> put_u8 buf 24; -1
   | Op_passreviveobj { pnode; version } ->
-      put_u8 buf 25; put_i64 buf (Pnode.to_int pnode); put_i64 buf version
-  | Op_passsync { pnode } -> put_u8 buf 26; put_i64 buf (Pnode.to_int pnode)
-  | Op_pnode { ino } -> put_u8 buf 27; put_i64 buf ino
-  | Op_passbatch { writes } -> put_u8 buf 28; put_list buf encode_batch_item writes
+      put_u8 buf 25; put_i64 buf (Pnode.to_int pnode); put_i64 buf version; -1
+  | Op_passsync { pnode } -> put_u8 buf 26; put_i64 buf (Pnode.to_int pnode); -1
+  | Op_pnode { ino } -> put_u8 buf 27; put_i64 buf ino; -1
+  | Op_passbatch { writes } -> put_u8 buf 28; put_list buf encode_batch_item writes; -1
+
+let encode_req buf req = ignore (encode_req_in ~by_ref:false buf req : int)
 
 let rec encode_resp buf resp =
   let open Wire in
@@ -165,7 +185,19 @@ let kind_of_tag = function
   | 1 -> Vfs.Directory
   | t -> Wire.corrupt "panfs: bad kind tag %d" t
 
-let decode_req s pos =
+(* [payload] is [None] when the payload is inline, or the string that
+   travelled by reference: it is taken, not copied, once its length
+   matches the header's. *)
+let get_payload s pos payload =
+  match payload with
+  | None -> Wire.get_string s pos
+  | Some p ->
+      let len = Wire.get_u32 s pos in
+      if len <> String.length p then
+        Wire.corrupt "panfs: payload of %d bytes, header says %d" (String.length p) len;
+      p
+
+let decode_req_in s pos payload =
   let open Wire in
   match get_u8 s pos with
   | 1 ->
@@ -197,7 +229,7 @@ let decode_req s pos =
   | 8 ->
       let ino = get_i64 s pos in
       let off = get_i64 s pos in
-      let data = get_string s pos in
+      let data = get_payload s pos payload in
       Write { ino; off; data }
   | 9 ->
       let ino = get_i64 s pos in
@@ -215,7 +247,7 @@ let decode_req s pos =
       let data =
         match get_u8 s pos with
         | 0 -> None
-        | 1 -> Some (get_string s pos)
+        | 1 -> Some (get_payload s pos payload)
         | t -> Wire.corrupt "panfs: bad option tag %d" t
       in
       let bundle = Dpapi.decode_bundle s pos in
@@ -240,6 +272,8 @@ let decode_req s pos =
   | 27 -> Op_pnode { ino = get_i64 s pos }
   | 28 -> Op_passbatch { writes = get_list decode_batch_item s pos }
   | t -> Wire.corrupt "panfs: bad request tag %d" t
+
+let decode_req s pos = decode_req_in s pos None
 
 let rec decode_resp s pos =
   let open Wire in
@@ -287,20 +321,30 @@ type call = {
   c_req : req;
 }
 
-let encode_call buf c =
+let encode_call_in ~by_ref buf c =
   Wire.put_i64 buf c.c_client;
   Wire.put_i64 buf c.c_seq;
   Wire.put_i64 buf c.c_trace;
   Wire.put_i64 buf c.c_span;
-  encode_req buf c.c_req
+  encode_req_in ~by_ref buf c.c_req
 
-let decode_call s pos =
+let encode_call buf c = ignore (encode_call_in ~by_ref:false buf c : int)
+let encode_header buf c = encode_call_in ~by_ref:true buf c
+
+let decode_header s pos payload =
   let c_client = Wire.get_i64 s pos in
   let c_seq = Wire.get_i64 s pos in
   let c_trace = Wire.get_i64 s pos in
   let c_span = Wire.get_i64 s pos in
-  let c_req = decode_req s pos in
+  let c_req = decode_req_in s pos payload in
   { c_client; c_seq; c_trace; c_span; c_req }
+
+let decode_call s pos = decode_header s pos None
+
+let payload = function
+  | Write { data; _ } -> Some data
+  | Op_passwrite { data; _ } -> data
+  | _ -> None
 
 (* Span-name component for an RPC request, used by client and server
    tracing ("panfs.client"/"rpc.write", "panfs.server"/"rpc.write"). *)
@@ -381,22 +425,28 @@ let resp_size resp =
   encode_resp scratch resp;
   Buffer.length scratch
 
-(* Byte-level delivery: decode the datagram, execute, and charge the
-   reply by its encoded length.  The reply is never materialised: the
-   client is handed the in-memory value, which decodes from those bytes
-   to itself (the codec round-trip tests pin this). *)
-let deliver net handler wire_req =
-  let resp = handler (decode_call wire_req (ref 0)) in
+(* Byte-level delivery: decode the header datagram, take the payload by
+   reference, execute, and charge the reply by its encoded length.  The
+   reply is never materialised: the client is handed the in-memory value,
+   which decodes from those bytes to itself (the codec round-trip tests
+   pin this). *)
+let deliver net handler header payload =
+  let resp = handler (decode_header header (ref 0) payload) in
   transmit net (resp_size resp);
   resp
 
 let rpc net handler (c : call) =
-  (* the request datagram is the one wire copy: the server decodes it,
-     so a duplicate or retransmission is a real byte-level replay *)
+  (* the header is the one wire copy: the server decodes it on every
+     delivery, so a duplicate or retransmission is a real byte-level
+     replay; the bulk payload rides beside it by reference and is charged
+     as if inline *)
   Buffer.clear scratch;
-  encode_call scratch c;
-  let wire_req = Buffer.contents scratch in
-  let req_len = String.length wire_req in
+  let (_ : int) = encode_header scratch c in
+  let header = Buffer.contents scratch in
+  let payload = payload c.c_req in
+  let req_len =
+    String.length header + match payload with Some p -> String.length p | None -> 0
+  in
   let now = Simdisk.Clock.now net.clock in
   if Fault.partitioned net.fault ~now then begin
     transmit net req_len;
@@ -416,20 +466,20 @@ let rpc net handler (c : call) =
         (* the server executes and replies, but the reply is lost: the
            case the duplicate-request cache exists for *)
         transmit net req_len;
-        let _ : resp = deliver net handler wire_req in
+        let _ : resp = deliver net handler header payload in
         timed_out net
     | Some Fault.Duplicate ->
         (* the request datagram is delivered twice; the second execution
            must hit the server's duplicate-request cache *)
         transmit net req_len;
-        let resp = deliver net handler wire_req in
+        let resp = deliver net handler header payload in
         transmit net req_len;
-        let _ : resp = deliver net handler wire_req in
+        let _ : resp = deliver net handler header payload in
         Ok resp
     | Some (Fault.Delay_ns d) ->
         Simdisk.Clock.advance net.clock d;
         transmit net req_len;
-        Ok (deliver net handler wire_req)
+        Ok (deliver net handler header payload)
     | None ->
         transmit net req_len;
-        Ok (deliver net handler wire_req)
+        Ok (deliver net handler header payload)

@@ -74,9 +74,10 @@ val encode_req : Buffer.t -> req -> unit
 val decode_req : string -> int ref -> req
 val encode_resp : Buffer.t -> resp -> unit
 val decode_resp : string -> int ref -> resp
-(** Wire codecs; decoders raise {!Wire.Corrupt} on malformed input.
-    Exposed so tests can round-trip every constructor — the transport
-    decodes each delivered request datagram, so replays are byte-level
+(** Wire codecs for the inline form, where a bulk payload follows its
+    length; decoders raise {!Wire.Corrupt} on malformed input.  Exposed
+    so tests can round-trip every constructor — the transport decodes the
+    header of each delivered request datagram, so replays are byte-level
     replays. *)
 
 val resp_size : resp -> int
@@ -104,6 +105,28 @@ type call = {
 
 val encode_call : Buffer.t -> call -> unit
 val decode_call : string -> int ref -> call
+(** The inline form: the header with its payload spliced back in. *)
+
+(** {1 Payloads by reference}
+
+    A request's bulk payload — [Write.data] or [Op_passwrite.data] —
+    crosses the link beside the header instead of inside it, the
+    direct-data-placement model of RPC-over-RDMA.  The header keeps the
+    payload's length, so header plus payload is exactly as long as the
+    inline form and is charged the same. *)
+
+val payload : req -> string option
+(** The request's bulk payload, if it has one. *)
+
+val encode_header : Buffer.t -> call -> int
+(** Append the call's header: the inline form minus the payload's bytes.
+    Returns the offset in the buffer where the payload splices back in
+    to give {!encode_call}'s bytes, or [-1] when the request has none. *)
+
+val decode_header : string -> int ref -> string option -> call
+(** Decode a header, taking the payload ([Some p], by reference, not
+    copied) once its length matches the header's; [None] decodes the
+    inline form.  Raises {!Wire.Corrupt} on a length mismatch. *)
 
 val req_name : req -> string
 (** Span-name component for tracing: "rpc.lookup", "rpc.passwrite", ... *)
@@ -132,9 +155,11 @@ val fresh_client : net -> int
     reproducible). *)
 
 val rpc : net -> (call -> resp) -> call -> (resp, [ `Timeout ]) result
-(** Synchronous RPC: encodes the call into one request datagram (the
-    only wire copy) and hands the handler the call decoded from those
-    bytes, so duplicates and retransmissions are byte-level replays.
+(** Synchronous RPC: encodes the call's header into one request datagram
+    (the only wire copy) and hands the handler the call decoded from
+    those bytes on every delivery, so duplicates and retransmissions are
+    byte-level replays; the payload goes by reference, and the request is
+    charged as header plus payload length.
     Each datagram's latency plus transfer is charged to the shared clock
     ([messages]/[bytes] count every transmitted copy, including dropped
     and duplicated ones); a reply is charged by {!resp_size} and the

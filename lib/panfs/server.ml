@@ -64,10 +64,24 @@ type t = {
      id + sequence number) replays the cached reply instead of
      re-executing the operation, which is what keeps non-idempotent ops
      (Create, Remove, Op_passwrite) exactly-once under retry *)
-  drc : (int * int, Proto.resp) Hashtbl.t;
-  drc_order : (int * int) Queue.t;
-  drc_capacity : int;
+  drc : (int, Proto.resp) Hashtbl.t; (* by [drc_key] *)
+  drc_ring : int array; (* cached keys, in the order they were added *)
+  mutable drc_added : int; (* replies cached so far *)
 }
+
+(* The cache holds the last 512 calls and evicts the oldest first. *)
+let drc_capacity = 512
+
+(* (client id, sequence number) packed into one int, so a lookup
+   allocates no tuple: 22 bits of client id above 40 of sequence number,
+   a one-to-one map on that range. *)
+let client_bits = 22
+let seq_bits = 40
+
+let drc_key ~client ~seq =
+  if client < 0 || client lsr client_bits <> 0 || seq < 0 || seq lsr seq_bits <> 0 then
+    invalid_arg "Server.drc_key";
+  (client lsl seq_bits) lor seq
 
 let create ~registry ?fault ?(tracer = Pvtrace.disabled) ~mode ~clock ~machine ~volume () =
   Pvtrace.set_now tracer (fun () -> Clock.now clock);
@@ -80,7 +94,7 @@ let create ~registry ?fault ?(tracer = Pvtrace.disabled) ~mode ~clock ~machine ~
       {
         mode; clock; disk; ext3; export = Ext3.ops ext3; lasagna = None; lasagna_ep = None;
         analyzer = None; waldo = None; ctx; volume; tracer; i; next_txn = 1; open_txns = [];
-        drc = Hashtbl.create 1024; drc_order = Queue.create (); drc_capacity = 512;
+        drc = Hashtbl.create 1024; drc_ring = Array.make drc_capacity 0; drc_added = 0;
       }
   | Pass_enabled ->
       Ext3.set_cache_capacity ext3 2048;
@@ -100,7 +114,7 @@ let create ~registry ?fault ?(tracer = Pvtrace.disabled) ~mode ~clock ~machine ~
         lasagna_ep = Some lasagna_ep;
         analyzer = Some (Dpapi.traced ~tracer ~layer:"analyzer" (Analyzer.endpoint analyzer));
         waldo = Some waldo; ctx; volume; tracer; i; next_txn = 1; open_txns = [];
-        drc = Hashtbl.create 1024; drc_order = Queue.create (); drc_capacity = 512;
+        drc = Hashtbl.create 1024; drc_ring = Array.make drc_capacity 0; drc_added = 0;
       }
 
 let ctx t = t.ctx
@@ -291,15 +305,25 @@ let rec handle_req t (req : Proto.req) : Proto.resp =
       in
       go [] writes
 
+(* Cache [resp] under [key]; once the ring is full, the key it
+   overwrites is the oldest, and leaves the table. *)
+let drc_add t key resp =
+  let slot = t.drc_added mod drc_capacity in
+  if t.drc_added >= drc_capacity then Hashtbl.remove t.drc t.drc_ring.(slot);
+  t.drc_ring.(slot) <- key;
+  t.drc_added <- t.drc_added + 1;
+  Hashtbl.replace t.drc key resp;
+  Telemetry.set t.i.drc_size (float_of_int (Hashtbl.length t.drc))
+
 (* One call through the duplicate-request cache. *)
 let serve t (c : Proto.call) : Proto.resp =
-  let key = (c.Proto.c_client, c.Proto.c_seq) in
-  match Hashtbl.find_opt t.drc key with
-  | Some resp ->
+  let key = drc_key ~client:c.Proto.c_client ~seq:c.Proto.c_seq in
+  match Hashtbl.find t.drc key with
+  | resp ->
       Telemetry.incr t.i.drc_hits;
       Pvtrace.set_outcome t.tracer "cached";
       resp
-  | None ->
+  | exception Not_found ->
       Telemetry.incr t.i.drc_misses;
       let resp = handle_req t c.Proto.c_req in
       (* a reply is a durability promise: the client drops its copy of any
@@ -313,11 +337,7 @@ let serve t (c : Proto.call) : Proto.resp =
             | Proto.R_err _ -> resp
             | _ -> ( match Lasagna.commit_log l with Ok () -> resp | Error e -> err e))
       in
-      Hashtbl.replace t.drc key resp;
-      Queue.add key t.drc_order;
-      if Queue.length t.drc_order > t.drc_capacity then
-        Hashtbl.remove t.drc (Queue.pop t.drc_order);
-      Telemetry.set t.i.drc_size (float_of_int (Hashtbl.length t.drc));
+      drc_add t key resp;
       resp
 
 let handle t (c : Proto.call) : Proto.resp =

@@ -41,6 +41,12 @@ val handle : t -> Proto.call -> Proto.resp
     the client span carried in the envelope; with a disabled tracer the
     call allocates no span closure (DESIGN §18). *)
 
+val drc_key : client:int -> seq:int -> int
+(** The duplicate-request cache's key: one int, distinct for every
+    client id below [2{^22}] and sequence number below [2{^40}];
+    [Invalid_argument] outside that range.  The cache keeps the last 512
+    calls and evicts the oldest first. *)
+
 val ctx : t -> Ctx.t
 val waldo : t -> Waldo.t option
 val lasagna : t -> Lasagna.t option

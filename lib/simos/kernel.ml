@@ -40,7 +40,6 @@ type fd_entry = {
   fd_mount : mount;
   fd_ino : Vfs.ino;
   mutable fd_off : int;
-  fd_path : string;
 }
 
 type process = {
@@ -142,12 +141,13 @@ let lift_dpapi : ('a, Dpapi.error) result -> ('a, errno) result = function
 
 (* --- path resolution ----------------------------------------------------- *)
 
+(* The mount named by the first segment, and the segments below it. *)
 let resolve_mount t path =
   match Vfs.split_path path with
   | [] -> Error Vfs.EINVAL
   | vol :: rest -> (
       match Hashtbl.find_opt t.mounts vol with
-      | Some m -> Ok (m, "/" ^ String.concat "/" rest)
+      | Some m -> Ok (m, rest)
       | None -> Error Vfs.ENOENT)
 
 let file_handle_of m ino =
@@ -178,7 +178,7 @@ let execve t ~pid ~path ~argv ~env =
   sys t "syscall.execve" @@ fun () ->
   enter t;
   let* m, rel = resolve_mount t path in
-  let* ino = Vfs.lookup_path m.m_ops rel in
+  let* ino = Vfs.lookup_segs m.m_ops rel in
   match t.pass with
   | Some s -> (
       match file_handle_of m ino with
@@ -207,15 +207,15 @@ let open_file t ~pid ~path ~create =
   enter t;
   let* m, rel = resolve_mount t path in
   let* ino =
-    match Vfs.lookup_path m.m_ops rel with
+    match Vfs.lookup_segs m.m_ops rel with
     | Ok ino -> Ok ino
-    | Error Vfs.ENOENT when create -> Vfs.create_path ~mkparents:true m.m_ops rel Vfs.Regular
+    | Error Vfs.ENOENT when create -> Vfs.create_segs ~mkparents:true m.m_ops rel Vfs.Regular
     | Error _ as e -> e
   in
   let p = proc t pid in
   let fd = p.next_fd in
   p.next_fd <- fd + 1;
-  Hashtbl.replace p.fds fd { fd_mount = m; fd_ino = ino; fd_off = 0; fd_path = rel };
+  Hashtbl.replace p.fds fd { fd_mount = m; fd_ino = ino; fd_off = 0 };
   Ok fd
 
 let fd_entry t ~pid ~fd =
@@ -325,14 +325,14 @@ let mkdir_p t ~path =
   sys t "syscall.mkdir" @@ fun () ->
   enter t;
   let* m, rel = resolve_mount t path in
-  let* _ino = Vfs.mkdir_p m.m_ops rel in
+  let* _ino = Vfs.mkdir_segs m.m_ops rel in
   Ok ()
 
 let unlink t ~pid:_ ~path =
   sys t "syscall.unlink" @@ fun () ->
   enter t;
   let* m, rel = resolve_mount t path in
-  (match (t.pass, Vfs.lookup_path m.m_ops rel) with
+  (match (t.pass, Vfs.lookup_segs m.m_ops rel) with
   | Some s, Ok ino -> (
       match file_handle_of m ino with
       | Some h ->
@@ -342,7 +342,7 @@ let unlink t ~pid:_ ~path =
           ()
       | None -> ())
   | _ -> ());
-  Vfs.remove_path m.m_ops rel
+  Vfs.remove_segs m.m_ops rel
 
 let rename t ~pid:_ ~src ~dst =
   sys t "syscall.rename" @@ fun () ->
@@ -350,27 +350,27 @@ let rename t ~pid:_ ~src ~dst =
   let* ms, rels = resolve_mount t src in
   let* md, reld = resolve_mount t dst in
   if not (String.equal ms.m_name md.m_name) then Error Vfs.EINVAL
-  else Vfs.rename_path ms.m_ops rels reld
+  else Vfs.rename_segs ms.m_ops rels reld
 
 let stat t ~path =
   sys t "syscall.stat" @@ fun () ->
   enter t;
   let* m, rel = resolve_mount t path in
-  let* ino = Vfs.lookup_path m.m_ops rel in
+  let* ino = Vfs.lookup_segs m.m_ops rel in
   m.m_ops.getattr ino
 
 let readdir t ~path =
   sys t "syscall.readdir" @@ fun () ->
   enter t;
   let* m, rel = resolve_mount t path in
-  let* ino = Vfs.lookup_path m.m_ops rel in
+  let* ino = Vfs.lookup_segs m.m_ops rel in
   m.m_ops.readdir ino
 
 (* handle of a file by path, for examples and tests that disclose
    provenance about files *)
 let handle_of_path t path =
   let* m, rel = resolve_mount t path in
-  let* ino = Vfs.lookup_path m.m_ops rel in
+  let* ino = Vfs.lookup_segs m.m_ops rel in
   match file_handle_of m ino with
   | Some h -> Ok h
   | None -> Error Vfs.EINVAL

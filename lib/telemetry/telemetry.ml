@@ -15,11 +15,14 @@ type gauge = { mutable g : float }
    even systematic sample of the observation stream. *)
 let reservoir_cap = 2048
 
+(* The exact moments.  A record of floats only is stored flat, so
+   updating a field stores the float in place: [observe] allocates
+   nothing (a float field of a mixed record is a pointer to a box). *)
+type moments = { mutable sum : float; mutable lo : float; mutable hi : float }
+
 type histogram = {
   mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
+  m : moments;
   mutable samples : float array;
   mutable n_samples : int;
   mutable stride : int;
@@ -44,7 +47,7 @@ let gauge ~registry name =
 
 let histogram ~registry name =
   let h =
-    { h_count = 0; h_sum = 0.; h_min = 0.; h_max = 0.;
+    { h_count = 0; m = { sum = 0.; lo = 0.; hi = 0. };
       samples = Array.make reservoir_cap 0.; n_samples = 0; stride = 1 }
   in
   register registry name (Histogram h);
@@ -61,16 +64,17 @@ let gauge_value g = g.g
 (* --- histograms ------------------------------------------------------------ *)
 
 let observe h v =
+  let m = h.m in
   if h.h_count = 0 then begin
-    h.h_min <- v;
-    h.h_max <- v
+    m.lo <- v;
+    m.hi <- v
   end
   else begin
-    if v < h.h_min then h.h_min <- v;
-    if v > h.h_max then h.h_max <- v
+    if v < m.lo then m.lo <- v;
+    if v > m.hi then m.hi <- v
   end;
   h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum +. v;
+  m.sum <- m.sum +. v;
   if (h.h_count - 1) mod h.stride = 0 then begin
     if h.n_samples >= Array.length h.samples then begin
       (* compact: keep even indices, double the stride *)
@@ -119,7 +123,7 @@ let summary_of_samples ~count ~sum ~mn ~mx samples =
   end
 
 let summary h =
-  summary_of_samples ~count:h.h_count ~sum:h.h_sum ~mn:h.h_min ~mx:h.h_max
+  summary_of_samples ~count:h.h_count ~sum:h.m.sum ~mn:h.m.lo ~mx:h.m.hi
     (Array.sub h.samples 0 h.n_samples)
 
 let with_span h ~now f =
@@ -439,9 +443,9 @@ let merged_summary hs =
   if count = 0 then empty_summary
   else begin
     let live = List.filter (fun h -> h.h_count > 0) hs in
-    let sum = List.fold_left (fun a h -> a +. h.h_sum) 0. live in
-    let mn = List.fold_left (fun a h -> Stdlib.min a h.h_min) infinity live in
-    let mx = List.fold_left (fun a h -> Stdlib.max a h.h_max) neg_infinity live in
+    let sum = List.fold_left (fun a h -> a +. h.m.sum) 0. live in
+    let mn = List.fold_left (fun a h -> Stdlib.min a h.m.lo) infinity live in
+    let mx = List.fold_left (fun a h -> Stdlib.max a h.m.hi) neg_infinity live in
     let samples =
       Array.concat (List.map (fun h -> Array.sub h.samples 0 h.n_samples) live)
     in

@@ -79,58 +79,78 @@ type ops = {
 
 let ( let* ) = Result.bind
 
-(* --- path helpers over any [ops] ---------------------------------------- *)
+(* --- path helpers over any [ops] ----------------------------------------
+
+   The walkers take a path already split into segments; the string
+   helpers split once and delegate, so a caller that has the segments
+   (the kernel, after its mount name) never rebuilds a path string. *)
+
+(* Segment [path.[start .. stop - 1]] onto [acc], unless it is empty or ".". *)
+let add_segment path start stop acc =
+  let len = stop - start in
+  if len = 0 || (len = 1 && path.[start] = '.') then acc
+  else String.sub path start len :: acc
+
+(* One pass from the right, so the segments come out in order: [stop]
+   ends the segment being scanned. *)
+let rec split_from path i stop acc =
+  if i < 0 then add_segment path 0 stop acc
+  else if path.[i] = '/' then split_from path (i - 1) i (add_segment path (i + 1) stop acc)
+  else split_from path (i - 1) stop acc
 
 let split_path path =
-  String.split_on_char '/' path |> List.filter (fun s -> s <> "" && s <> ".")
+  let n = String.length path in
+  split_from path (n - 1) n []
 
-let lookup_path fs path =
-  let rec walk dir = function
-    | [] -> Ok dir
-    | seg :: rest ->
-        let* next = fs.lookup ~dir seg in
-        walk next rest
-  in
-  walk (fs.root ()) (split_path path)
+(* One directory step; with [mkparents], a missing directory is created. *)
+let step ~mkparents fs ~dir seg =
+  match fs.lookup ~dir seg with
+  | Error ENOENT when mkparents -> fs.create ~dir seg Directory
+  | r -> r
 
-let parent_and_leaf fs path =
-  match List.rev (split_path path) with
+(* The walkers match on each result instead of binding with [let*], so
+   a step allocates no closure. *)
+let rec walk ~mkparents fs dir = function
+  | [] -> Ok dir
+  | seg :: rest -> (
+      match step ~mkparents fs ~dir seg with
+      | Ok next -> walk ~mkparents fs next rest
+      | Error _ as e -> e)
+
+let lookup_segs fs segs = walk ~mkparents:false fs (fs.root ()) segs
+let mkdir_segs fs segs = walk ~mkparents:true fs (fs.root ()) segs
+
+(* Resolve every segment but the last, which names the leaf; [EINVAL]
+   for no segments. *)
+let rec walk_parent ~mkparents fs dir = function
   | [] -> Error EINVAL
-  | leaf :: rev_dirs ->
-      let* dir =
-        List.fold_left
-          (fun acc seg ->
-            let* d = acc in
-            fs.lookup ~dir:d seg)
-          (Ok (fs.root ()))
-          (List.rev rev_dirs)
-      in
-      Ok (dir, leaf)
+  | [ leaf ] -> Ok (dir, leaf)
+  | seg :: rest -> (
+      match step ~mkparents fs ~dir seg with
+      | Ok next -> walk_parent ~mkparents fs next rest
+      | Error _ as e -> e)
 
-let mkdir_p fs path =
-  let rec walk dir = function
-    | [] -> Ok dir
-    | seg :: rest -> (
-        match fs.lookup ~dir seg with
-        | Ok next -> walk next rest
-        | Error ENOENT ->
-            let* next = fs.create ~dir seg Directory in
-            walk next rest
-        | Error _ as e -> e)
-  in
-  walk (fs.root ()) (split_path path)
+let parent_and_leaf_segs fs segs = walk_parent ~mkparents:false fs (fs.root ()) segs
 
-let create_path ?(mkparents = false) fs path kind =
-  let* dirpath, leaf =
-    match List.rev (split_path path) with
-    | [] -> Error EINVAL
-    | leaf :: rev_dirs -> Ok (List.rev rev_dirs, leaf)
-  in
-  let* dir =
-    if mkparents then mkdir_p fs (String.concat "/" dirpath)
-    else lookup_path fs ("/" ^ String.concat "/" dirpath)
-  in
-  fs.create ~dir leaf kind
+let create_segs ?(mkparents = false) fs segs kind =
+  match walk_parent ~mkparents fs (fs.root ()) segs with
+  | Ok (dir, leaf) -> fs.create ~dir leaf kind
+  | Error _ as e -> e
+
+let remove_segs fs segs =
+  match parent_and_leaf_segs fs segs with
+  | Ok (dir, leaf) -> fs.unlink ~dir leaf
+  | Error _ as e -> e
+
+let rename_segs fs src dst =
+  let* src_dir, src_name = parent_and_leaf_segs fs src in
+  let* dst_dir, dst_name = parent_and_leaf_segs fs dst in
+  fs.rename ~src_dir ~src_name ~dst_dir ~dst_name
+
+let lookup_path fs path = lookup_segs fs (split_path path)
+let parent_and_leaf fs path = parent_and_leaf_segs fs (split_path path)
+let mkdir_p fs path = mkdir_segs fs (split_path path)
+let create_path ?mkparents fs path kind = create_segs ?mkparents fs (split_path path) kind
 
 let read_file fs path =
   let* ino = lookup_path fs path in
@@ -148,11 +168,5 @@ let write_file ?(mkparents = false) fs path data =
   let* () = fs.write ino ~off:0 data in
   Ok ino
 
-let remove_path fs path =
-  let* dir, leaf = parent_and_leaf fs path in
-  fs.unlink ~dir leaf
-
-let rename_path fs src dst =
-  let* src_dir, src_name = parent_and_leaf fs src in
-  let* dst_dir, dst_name = parent_and_leaf fs dst in
-  fs.rename ~src_dir ~src_name ~dst_dir ~dst_name
+let remove_path fs path = remove_segs fs (split_path path)
+let rename_path fs src dst = rename_segs fs (split_path src) (split_path dst)

@@ -57,10 +57,30 @@ type ops = {
   sync : unit -> (unit, errno) result;
 }
 
+(** {1 Paths}
+
+    A path is split once into segments; empty and ["."] segments are
+    dropped.  The segment walkers resolve from [root ()] with one
+    [lookup] per directory segment, so a caller holding segments (the
+    kernel, after its mount name) never rebuilds a path string.  The
+    path helpers split and delegate to them. *)
+
 val split_path : string -> string list
+
+val lookup_segs : ops -> string list -> (ino, errno) result
+
+val mkdir_segs : ops -> string list -> (ino, errno) result
+(** [mkdir -p]: each missing segment is created as a directory. *)
+
+val create_segs : ?mkparents:bool -> ops -> string list -> kind -> (ino, errno) result
+val remove_segs : ops -> string list -> (unit, errno) result
+val rename_segs : ops -> string list -> string list -> (unit, errno) result
 
 val lookup_path : ops -> string -> (ino, errno) result
 val parent_and_leaf : ops -> string -> (ino * string, errno) result
+(** Resolve every segment but the last, which is returned as the leaf;
+    [EINVAL] for no segments. *)
+
 val mkdir_p : ops -> string -> (ino, errno) result
 
 val create_path : ?mkparents:bool -> ops -> string -> kind -> (ino, errno) result

@@ -457,7 +457,8 @@ let test_proto_roundtrip_exhaustive () =
   Proto.encode_call b2 c';
   check tstr "call envelope round trip" s (Buffer.contents b2)
 
-let prop_proto_roundtrip =
+(* Every request constructor, with random fields. *)
+let gen_req =
   let open QCheck2.Gen in
   let name = string_size ~gen:printable (int_range 1 24) in
   let payload = string_size ~gen:char (int_range 0 200) in
@@ -511,6 +512,9 @@ let prop_proto_roundtrip =
          map (fun ws -> Proto.Op_passbatch { writes = ws }) (list_size (int_range 0 6) item));
       ]
   in
+  gen_req
+
+let prop_proto_roundtrip =
   QCheck2.Test.make ~name:"proto: every req round-trips the wire" ~count:300 gen_req rt_req
 
 (* --- recovery after a server crash mid-transaction (ISSUE satellite) --------- *)
@@ -866,6 +870,230 @@ let test_server_passbatch () =
   check tstr "item 1 applied once" "first" (read ino_a);
   check tstr "item 3 still not applied" "" (read ino_b)
 
+(* --- payloads by reference ---------------------------------------------------- *)
+
+(* The header [encode_header] writes, with the payload spliced back in at
+   the offset it returns. *)
+let spliced (c : Proto.call) =
+  let b = Buffer.create 64 in
+  let at = Proto.encode_header b c in
+  let h = Buffer.contents b in
+  match Proto.payload c.c_req with
+  | None ->
+      check tint "no payload, no splice point" (-1) at;
+      h
+  | Some p -> String.sub h 0 at ^ p ^ String.sub h at (String.length h - at)
+
+let header_of (c : Proto.call) =
+  let b = Buffer.create 64 in
+  let (_ : int) = Proto.encode_header b c in
+  Buffer.contents b
+
+let inline_of (c : Proto.call) =
+  let b = Buffer.create 64 in
+  Proto.encode_call b c;
+  Buffer.contents b
+
+let call_of seq req = { Proto.c_client = 3; c_seq = seq; c_trace = 1; c_span = 2; c_req = req }
+
+(* A PA server behind a handler that records, for every delivery, the
+   call's sequence number and the request's payload. *)
+let recording_link ?(fault = Fault.none) () =
+  let registry = Telemetry.create () in
+  let clock = Simdisk.Clock.create () in
+  let server =
+    Server.create ~registry ~mode:Server.Pass_enabled ~clock ~machine:2 ~volume:"nfs0" ()
+  in
+  let delivered = ref [] in
+  let handler (c : Proto.call) =
+    (match Proto.payload c.c_req with
+    | Some p -> delivered := (c.c_seq, p) :: !delivered
+    | None -> ());
+    Server.handle server c
+  in
+  let client =
+    Client.create ~registry ~net:(Proto.net ~fault clock) ~handler
+      ~ctx:(Ctx.create ~machine:1) ~mount_name:"nfs0" ()
+  in
+  (registry, client, delivered)
+
+let test_payloads_by_reference () =
+  (* the server is handed the strings the client flushed, not copies *)
+  let _, client, delivered = recording_link () in
+  let ops = Client.ops client in
+  let ino = ok_fs (ops.create ~dir:Ext3.root_ino "p" Vfs.Regular) in
+  let h = ok_fs (Client.file_handle client ino) in
+  let short = String.make 300 'w' and prov = String.make 5000 'p' in
+  (* a short write flushes at once; a one-piece provenance run flushes
+     as the string it was given *)
+  ok_fs (ops.write ino ~off:0 short);
+  let (_ : int) =
+    ok (Client.pass_write client h ~off:300 ~data:(Some prov)
+          [ Dpapi.entry h [ Record.make "PARAMS" (Pvalue.Str "x") ] ])
+  in
+  ok_fs (Client.flush client);
+  (match List.rev_map snd !delivered with
+  | [ w; pw ] ->
+      check tbool "Write.data is the flushed string" true (w == short);
+      check tbool "Op_passwrite.data is the flushed string" true (pw == prov)
+  | l -> Alcotest.failf "expected two payloads, saw %d" (List.length l));
+  check tstr "the server holds the data" (short ^ prov)
+    (ok_fs (ops.read ino ~off:0 ~len:5300));
+  (* header + payload is the inline form, for every constructor, and the
+     header decodes back to the call with the payload taken by reference *)
+  let names = Hashtbl.create 32 in
+  List.iteri
+    (fun seq req ->
+      Hashtbl.replace names (Proto.req_name req) ();
+      let c = call_of seq req in
+      let inline = inline_of c in
+      check tstr "header with the payload spliced in = encode_call" inline (spliced c);
+      let payload = Proto.payload req in
+      let c' = Proto.decode_header (header_of c) (ref 0) payload in
+      check tstr "header decodes to the call" inline (inline_of c');
+      match (payload, Proto.payload c'.c_req) with
+      | Some p, Some p' -> check tbool "decoded payload is the one sent" true (p == p')
+      | None, None -> ()
+      | _ -> Alcotest.fail "payload lost or invented")
+    (QCheck2.Gen.generate ~rand:(Random.State.make [| 0xda7a |]) ~n:600 gen_req);
+  check tint "every constructor generated" 19 (Hashtbl.length names);
+  (* a payload whose length disagrees with the header is corrupt *)
+  List.iter
+    (fun req ->
+      let header = header_of (call_of 0 req) in
+      List.iter
+        (fun bad ->
+          match Proto.decode_header header (ref 0) (Some bad) with
+          | _ -> Alcotest.failf "a %d-byte payload was accepted" (String.length bad)
+          | exception Wire.Corrupt _ -> ())
+        [ "payloa"; "payload!"; "" ])
+    [ Proto.Write { ino = 3; off = 0; data = "payload" };
+      Proto.Op_passwrite
+        { pnode = Pnode.of_int 9; off = 0; data = Some "payload"; bundle = []; txn = None } ];
+  (* duplicated requests and lost replies replay from the DRC, and every
+     delivery still carries the caller's string *)
+  let spec = { Fault.quiet with duplicate = 250; drop_response = 250 } in
+  let injected = Telemetry.create () in
+  let plan = Fault.plan ~registry:injected ~spec ~seed:5 () in
+  let registry, client, delivered = recording_link ~fault:plan () in
+  let ops = Client.ops client in
+  let ino = ok_fs (ops.create ~dir:Ext3.root_ino "q" Vfs.Regular) in
+  let h = ok_fs (Client.file_handle client ino) in
+  let sent = ref [] in
+  for k = 0 to 19 do
+    let d = String.make (100 + k) (Char.chr (97 + k)) in
+    sent := d :: !sent;
+    if k mod 2 = 0 then ok_fs (ops.write ino ~off:(k * 200) d)
+    else begin
+      let (_ : int) = ok (Client.pass_write client h ~off:(k * 200) ~data:(Some d) []) in
+      ok_fs (Client.flush client)
+    end
+  done;
+  let count registry name = Option.value (Telemetry.counter_value registry name) ~default:0 in
+  check tbool "duplicates injected" true (count injected "fault.injected.duplicate" > 0);
+  check tbool "replies lost" true (count injected "fault.injected.drop_response" > 0);
+  check tint "one call per write" (List.length !sent)
+    (List.length (List.sort_uniq Int.compare (List.map fst !delivered)));
+  let replays = List.length !delivered - List.length !sent in
+  check tbool "some payloads were delivered again" true (replays > 0);
+  check tbool "every replay hit the DRC" true (count registry "nfs.drc.hits" >= replays);
+  check tbool "every delivery carries a caller's string" true
+    (List.for_all (fun (_, d) -> List.exists (( == ) d) !sent) !delivered);
+  let expect = Bytes.make ((19 * 200) + 119) '\000' in
+  List.iteri (fun i d -> Bytes.blit_string d 0 expect ((19 - i) * 200) (String.length d)) !sent;
+  check tstr "each write applied once" (Bytes.to_string expect)
+    (ok_fs (ops.read ino ~off:0 ~len:4000))
+
+(* --- the duplicate-request cache ---------------------------------------------- *)
+
+(* The cache as a (client, seq) table plus a FIFO queue of keys, capacity
+   512: the model the int-keyed ring must match. *)
+module Fifo_drc = struct
+  type t = { tbl : (int * int, unit) Hashtbl.t; order : (int * int) Queue.t }
+
+  let create () = { tbl = Hashtbl.create 1024; order = Queue.create () }
+
+  (* [true] on a hit *)
+  let call t key =
+    Hashtbl.mem t.tbl key
+    || begin
+         Hashtbl.replace t.tbl key ();
+         Queue.add key t.order;
+         if Queue.length t.order > 512 then Hashtbl.remove t.tbl (Queue.pop t.order);
+         false
+       end
+
+  let size t = Hashtbl.length t.tbl
+end
+
+let test_drc_ring_matches_fifo () =
+  let registry = Telemetry.create () in
+  let clock = Simdisk.Clock.create () in
+  let server = Server.create ~registry ~mode:Server.Plain ~clock ~machine:2 ~volume:"v" () in
+  let model = Fifo_drc.create () in
+  let v name = Option.value (Telemetry.counter_value registry name) ~default:0 in
+  let size () =
+    match Telemetry.series_snapshot ~filter:"nfs.drc.size" registry with
+    | [ s ] -> int_of_float s.Telemetry.se_value
+    | _ -> Alcotest.fail "nfs.drc.size"
+  in
+  let r = Wk.rng 0xd4c in
+  let next_seq = Array.make 4 0 in
+  let issued = ref [||] and n_issued = ref 0 in
+  let hits = ref 0 and evicted_replays = ref 0 in
+  for step = 1 to 4000 do
+    let fresh = ref false in
+    let key =
+      match Wk.rand r 20 with
+      | k when k < 4 && !n_issued > 0 ->
+          (* a replay of one of the last 100 calls: cached *)
+          !issued.(!n_issued - 1 - Wk.rand r (min 100 !n_issued))
+      | k when k < 6 && !n_issued > 0 ->
+          (* a replay of any earlier call: often evicted *)
+          !issued.(Wk.rand r !n_issued)
+      | _ ->
+          let client = 1 + Wk.rand r 3 in
+          let seq = next_seq.(client) in
+          next_seq.(client) <- seq + 1;
+          if !n_issued = Array.length !issued then
+            issued := Array.append !issued (Array.make (max 64 !n_issued) (0, 0));
+          !issued.(!n_issued) <- (client, seq);
+          incr n_issued;
+          fresh := true;
+          (client, seq)
+    in
+    let hit = Fifo_drc.call model key in
+    if hit then incr hits else if not !fresh then incr evicted_replays;
+    let client, seq = key in
+    let (_ : Proto.resp) =
+      Server.handle server
+        { Proto.c_client = client; c_seq = seq; c_trace = 0; c_span = 0;
+          c_req = Proto.Getattr { ino = Ext3.root_ino } }
+    in
+    if v "nfs.drc.hits" <> !hits || v "nfs.drc.misses" <> step - !hits
+       || size () <> Fifo_drc.size model
+    then Alcotest.failf "step %d: the ring diverged from the FIFO model" step
+  done;
+  check tbool "replays hit before eviction" true (!hits > 100);
+  check tbool "replays missed after eviction" true (!evicted_replays > 100);
+  check tint "the cache is full" 512 (size ());
+  (* the key packs 22 bits of client id above 40 of sequence number *)
+  let max_client = (1 lsl 22) - 1 and max_seq = (1 lsl 40) - 1 in
+  let corners =
+    [ (0, 0); (0, 1); (1, 0); (0, max_seq); (1, max_seq); (max_client, 0);
+      (max_client, max_seq); (max_client - 1, max_seq) ]
+  in
+  let keys = List.map (fun (client, seq) -> Server.drc_key ~client ~seq) corners in
+  check tint "corner keys are distinct" (List.length corners)
+    (List.length (List.sort_uniq Int.compare keys));
+  check tbool "keys are non-negative" true (List.for_all (fun k -> k >= 0) keys);
+  List.iter
+    (fun (client, seq) ->
+      match Server.drc_key ~client ~seq with
+      | _ -> Alcotest.failf "drc_key accepted (%d, %d)" client seq
+      | exception Invalid_argument _ -> ())
+    [ (max_client + 1, 0); (0, max_seq + 1); (-1, 0); (0, -1) ]
+
 let suite =
   [
     Alcotest.test_case "plain NFS roundtrip over the wire" `Quick test_plain_nfs_roundtrip;
@@ -892,4 +1120,7 @@ let suite =
     Alcotest.test_case "panfs: write-behind matches a flat model" `Quick test_write_behind_model;
     Alcotest.test_case "server: OP_PASSBATCH stops at the first error and replays from the DRC"
       `Quick test_server_passbatch;
+    Alcotest.test_case "panfs: payloads cross the wire by reference" `Quick
+      test_payloads_by_reference;
+    Alcotest.test_case "server: DRC ring evicts like the FIFO" `Quick test_drc_ring_matches_fifo;
   ]

@@ -946,6 +946,43 @@ let prop_wap_crash_safety =
               not (Hashtbl.mem completed (Pnode.to_int inc.i_pnode)))
             report.inconsistent)
 
+(* The journal's bytes are pinned: a seeded churn of creates, writes,
+   renames and unlinks over a two-block journal, which compacts several
+   times, must leave the same journal region and the same byte count
+   (digests taken from the two-Buffer frame builder).  ext3 places its
+   journal at block 8. *)
+let test_ext3_journal_bytes_unchanged () =
+  let disk = Disk.create ~registry:(Telemetry.create ()) ~clock:(Clock.create ()) () in
+  let fs = Ext3.format ~jblocks:2 disk in
+  let ops = Ext3.ops fs in
+  let root = Ext3.root_ino in
+  let r = Wk.rng 0x1ea in
+  let name k = Printf.sprintf "file%02d" k in
+  for _ = 1 to 400 do
+    let k = Wk.rand r 24 in
+    match ops.Vfs.lookup ~dir:root (name k) with
+    | Error _ ->
+        let ino = Helpers.ok_fs (ops.Vfs.create ~dir:root (name k) Vfs.Regular) in
+        Helpers.ok_fs (ops.Vfs.write ino ~off:0 (Helpers.payload ~seed:k ~len:(1 + Wk.rand r 9000)))
+    | Ok ino -> (
+        match Wk.rand r 3 with
+        | 0 ->
+            Helpers.ok_fs
+              (ops.Vfs.write ino ~off:(Wk.rand r 6000) (Helpers.payload ~seed:k ~len:(1 + Wk.rand r 5000)))
+        | 1 -> (
+            match
+              ops.Vfs.rename ~src_dir:root ~src_name:(name k) ~dst_dir:root
+                ~dst_name:(name (Wk.rand r 24))
+            with
+            | Ok () | Error _ -> ())
+        | _ -> Helpers.ok_fs (ops.Vfs.unlink ~dir:root (name k)))
+  done;
+  let region = Disk.read_bytes disk ~off:(8 * Disk.block_size) ~len:(2 * Disk.block_size) in
+  check tbool "the churn compacted" true (Ext3.journal_bytes_written fs > String.length region);
+  check tint "journal bytes written" 30336 (Ext3.journal_bytes_written fs);
+  check Alcotest.string "MD5 of the journal region" "f16097e73c4c6330debda0225d713412"
+    (Digest.to_hex (Digest.string region))
+
 let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ prop_wap_crash_safety ]
 
 let suite =
@@ -992,3 +1029,4 @@ let suite =
       prop_disk_matches_model;
   ]
   @ qcheck_cases
+  @ [ Alcotest.test_case "ext3: journal bytes unchanged" `Quick test_ext3_journal_bytes_unchanged ]

@@ -340,6 +340,46 @@ let test_registry_isolation () =
   check Alcotest.string "measure_local keeps only the PASS run" (Telemetry.to_json lone)
     (Telemetry.to_json measured)
 
+(* Summaries are pinned to the values the boxed-float histogram gave, as
+   exact hex floats: seeded streams (one compacts the reservoir many
+   times), a one-sample and an empty histogram, and two same-named
+   histograms merged by the registry. *)
+let test_histogram_summaries_unchanged () =
+  let registry = Telemetry.create () in
+  let stream name ~seed ~n f =
+    let h = Telemetry.histogram ~registry name in
+    let r = Wk.rng seed in
+    for _ = 1 to n do Telemetry.observe h (f r) done;
+    h
+  in
+  let small = stream "g.small" ~seed:1 ~n:100 (fun r -> float_of_int (Wk.rand r 1000) /. 7.) in
+  let compacting =
+    stream "g.compacting" ~seed:2 ~n:20_000 (fun r ->
+        float_of_int (Wk.rand r 1_000_000 - 300_000) *. 0.37)
+  in
+  let one = stream "g.one" ~seed:3 ~n:1 (fun _ -> -2.5) in
+  let empty = stream "g.empty" ~seed:4 ~n:0 (fun _ -> 0.) in
+  let _ = stream "g.merged" ~seed:5 ~n:1500 (fun r -> float_of_int (Wk.rand r 5000)) in
+  let _ = stream "g.merged" ~seed:6 ~n:3000 (fun r -> 1e6 /. float_of_int (1 + Wk.rand r 999)) in
+  let show (s : Telemetry.summary) =
+    Printf.sprintf "%d %h %h %h %h %h %h" s.count s.sum s.min s.max s.p50 s.p95 s.p99
+  in
+  let got =
+    List.map show
+      [ Telemetry.summary small; Telemetry.summary compacting; Telemetry.summary one;
+        Telemetry.summary empty; Option.get (Telemetry.histogram_summary registry "g.merged") ]
+  in
+  check Alcotest.(list string) "count sum min max p50 p95 p99"
+    [ "100 0x1.9429249249249p+12 0x1.2492492492492p-3 0x1.1d6db6db6db6ep+7 0x1.eedb6db6db6dbp+5 \
+       0x1.0bb6db6db6db7p+7 0x1.1a49249249249p+7";
+      "20000 0x1.5f32d30770a38p+30 -0x1.b190f851eb852p+16 0x1.f9d2cp+17 0x1.170363d70a3d7p+16 \
+       0x1.d4ec47ae147aep+17 0x1.f2cbcf5c28f5cp+17";
+      "1 -0x1.4p+1 -0x1.4p+1 -0x1.4p+1 -0x1.4p+1 -0x1.4p+1 -0x1.4p+1";
+      "0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0";
+      "4500 0x1.8404973f12969p+24 0x1.8p+2 0x1.e848p+19 0x1.0dfa78891f842p+11 \
+       0x1.3ba814afd6a05p+13 0x1.53ac8590b2164p+15" ]
+    got
+
 let suite =
   [
     Alcotest.test_case "counter semantics" `Quick test_counter_semantics;
@@ -361,4 +401,6 @@ let suite =
       prop_histogram_rank_error;
     Alcotest.test_case "pipeline instruments" `Quick test_pipeline_instruments;
     Alcotest.test_case "registry isolation" `Quick test_registry_isolation;
+    Alcotest.test_case "telemetry: histogram summaries unchanged" `Quick
+      test_histogram_summaries_unchanged;
   ]
