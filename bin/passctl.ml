@@ -321,11 +321,12 @@ let cmd_checkpoint volume json =
   end
 
 (* Offline verification.  Without --corrupt: build a canned volume whose
-   Waldo database has been persisted and whose last transaction is still
-   sitting in a live WAP log, then run the offline verifier over the
-   lower file system — the real fsck path (load db image, replay logs,
-   cross-check orphans against Recovery).  With --corrupt CLASS: seed one
-   corruption into a canned graph and show the verifier flagging it. *)
+   Waldo database is covered by a checkpoint and whose last transaction
+   is still sitting in a live WAP log, then run the offline verifier over
+   the lower file system — the real fsck path (Waldo.recover adopts the
+   checkpoint image and replays the log suffix; orphans are cross-checked
+   against Recovery).  With --corrupt CLASS: seed one corruption into a
+   canned graph and show the verifier flagging it. *)
 let cmd_fsck volume json corrupt =
   let registry = Telemetry.create () in
   let print_report report =
@@ -356,7 +357,7 @@ let cmd_fsck volume json corrupt =
         let lasagna =
           Lasagna.create ~registry ~lower ~ctx ~volume ~charge:(Clock.advance clock) ()
         in
-        let waldo = Waldo.create ~registry ~lower () in
+        let waldo = Waldo.create ~registry ~policy:Waldo.Manual ~lower () in
         Waldo.attach waldo lasagna;
         let ops = Lasagna.ops lasagna in
         let ep = Lasagna.endpoint lasagna in
@@ -369,9 +370,7 @@ let cmd_fsck volume json corrupt =
         | Ok _ -> ()
         | Error e -> failwith (Dpapi.error_to_string e));
         ignore (Waldo.finalize waldo lasagna : int);
-        (match Waldo.persist waldo ~dir:"/.waldo" with
-        | Ok () -> ()
-        | Error e -> failwith (Vfs.errno_to_string e));
+        ok (Waldo.checkpoint waldo);
         (* one transaction still in a live log when the verifier runs *)
         (match
            Lasagna.write_txn_bundle ~txn:11 lasagna h ~off:0 ~data:None

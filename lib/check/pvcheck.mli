@@ -51,16 +51,16 @@ val check_db :
 
 val fsck :
   registry:Telemetry.registry ->
-  ?waldo_dir:string ->
   lower:Vfs.ops ->
   volume:string ->
   unit ->
   (report, Vfs.errno) result
-(** [fsck ~registry ~lower ~volume ()] is the offline entry point: load the
-    persisted database from [waldo_dir]/db.dat (default [/.waldo]; an
-    absent image means an empty database), replay any WAP logs still in
-    [/.pass] through the production ingest path, and run every pass —
-    including orphan agreement against an independent {!Recovery.scan}. *)
+(** [fsck ~registry ~lower ~volume ()] is the offline entry point: rebuild
+    the database with {!Waldo.recover} (the graph a production restart
+    rebuilds: checkpoint image, sidecar, post-watermark log suffix), fault
+    the cold-tier archive in, and run every pass — including orphan
+    agreement against an independent {!Recovery.scan}.  Recovery finishes
+    interrupted checkpoint cleanup on [lower], as a restart would. *)
 
 val report_to_json : report -> Telemetry.Json.t
 (** The report as a telemetry JSON tree ([passctl fsck --json]). *)

@@ -33,6 +33,9 @@ type manifest = {
   m_pending_txns : int list;  (* ids buffered at checkpoint time, sorted *)
 }
 
+(* Where Waldo keeps its checkpoints: the twin of Lasagna's /.pass. *)
+let dir = "/.waldo"
+
 let manifest_name = "MANIFEST"
 let image_name ~gen = Printf.sprintf "db.%d.dat" gen
 let archive_name ~gen = Printf.sprintf "archive.%d.dat" gen
@@ -146,7 +149,7 @@ let decode_manifest image =
 (* The commit point: stage MANIFEST.tmp, rename over MANIFEST.  Until
    the rename's journal frame is durable the old manifest (or none)
    governs recovery; after it, the new one does. *)
-let write_manifest lower ~dir m =
+let write_manifest lower m =
   let path = dir ^ "/" ^ manifest_name in
   let tmp = path ^ ".tmp" in
   let* _ino = Vfs.write_file ~mkparents:true lower tmp (encode_manifest m) in
@@ -154,7 +157,7 @@ let write_manifest lower ~dir m =
 
 (* [Ok None] when no checkpoint was ever committed (fresh volume or a
    crash before the first manifest rename); EIO on a corrupt manifest. *)
-let read_manifest lower ~dir =
+let read_manifest lower =
   match Vfs.read_file lower (dir ^ "/" ^ manifest_name) with
   | Error Vfs.ENOENT -> Ok None
   | Error e -> Error e
@@ -177,26 +180,30 @@ let log_seq name =
     | _ -> None
   else None
 
+(* The WAP logs under /.pass as (seq, name), oldest first, with the
+   directory's inode; ENOENT when the volume has no /.pass. *)
+let list_logs lower =
+  let* pass_dir = Vfs.lookup_path lower "/.pass" in
+  let* names = lower.Vfs.readdir pass_dir in
+  let logs = List.filter_map (fun n -> Option.map (fun s -> (s, n)) (log_seq n)) names in
+  Ok (pass_dir, List.sort (fun (a, _) (b, _) -> Int.compare a b) logs)
+
 (* Delete every closed WAP log wholly covered by a durable checkpoint
-   (seq < watermark).  Called only after the manifest rename committed;
+   (seq < watermark) and return how many went, with the logs that
+   remain.  Called only after the manifest rename committed;
    idempotent, so recovery re-runs it to finish a truncation a crash
-   interrupted.  Returns the number of logs deleted. *)
+   interrupted. *)
 let truncate_covered lower ~watermark =
-  match Vfs.lookup_path lower "/.pass" with
-  | Error Vfs.ENOENT -> Ok 0
+  match list_logs lower with
+  | Error Vfs.ENOENT -> Ok (0, [])
   | Error e -> Error e
-  | Ok pass_dir ->
-      let* names = lower.Vfs.readdir pass_dir in
-      let covered =
-        List.filter
-          (fun n -> match log_seq n with Some s -> s < watermark | None -> false)
-          names
-      in
+  | Ok (pass_dir, logs) ->
+      let covered, suffix = List.partition (fun (s, _) -> s < watermark) logs in
       let* () =
         List.fold_left
-          (fun acc name ->
+          (fun acc (_, name) ->
             let* () = acc in
             lower.Vfs.unlink ~dir:pass_dir name)
           (Ok ()) covered
       in
-      Ok (List.length covered)
+      Ok (List.length covered, suffix)

@@ -23,6 +23,10 @@ type manifest = {
       (** transaction ids buffered at checkpoint time, sorted *)
 }
 
+val dir : string
+(** [/.waldo]: the directory on the lower file system that holds the
+    MANIFEST and its payload files, as [/.pass] holds the WAP logs. *)
+
 val manifest_name : string
 val image_name : gen:int -> string
 val archive_name : gen:int -> string
@@ -51,13 +55,11 @@ val read_verified :
 (** Read a digest-framed payload back as [(payload, digest)].  Bad
     magic, a torn frame, or a digest mismatch all come back as [EIO]. *)
 
-val write_manifest :
-  Vfs.ops -> dir:string -> manifest -> (unit, Vfs.errno) result
+val write_manifest : Vfs.ops -> manifest -> (unit, Vfs.errno) result
 (** Atomically publish [manifest] at [dir ^ "/MANIFEST"] — the commit
     point of a checkpoint. *)
 
-val read_manifest :
-  Vfs.ops -> dir:string -> (manifest option, Vfs.errno) result
+val read_manifest : Vfs.ops -> (manifest option, Vfs.errno) result
 (** [Ok None] when no checkpoint was ever committed; [EIO] on a corrupt
     manifest. *)
 
@@ -66,7 +68,14 @@ val log_seq : string -> int option
     exact inverse of [Lasagna.log_name], so [<n>] must be a canonical
     non-negative decimal ([log.007], [log.-1], [log.0x10] are not logs). *)
 
-val truncate_covered : Vfs.ops -> watermark:int -> (int, Vfs.errno) result
+val list_logs : Vfs.ops -> (Vfs.ino * (int * string) list, Vfs.errno) result
+(** The inode of [/.pass] and its WAP logs as [(seq, name)], in sequence
+    order; files {!log_seq} rejects are not logs.  [ENOENT] when there is
+    no [/.pass]. *)
+
+val truncate_covered :
+  Vfs.ops -> watermark:int -> (int * (int * string) list, Vfs.errno) result
 (** Delete every WAP log under [/.pass] with seq < watermark; returns
-    how many were deleted.  Idempotent; call only after the covering
+    how many were deleted and the logs that remain, in sequence order
+    (none without a [/.pass]).  Idempotent; call only after the covering
     manifest is durable. *)

@@ -9,18 +9,16 @@
 val load_into :
   registry:Telemetry.registry ->
   Vfs.ops ->
-  dir:string ->
   segments:(string * string) list ->
   Provdb.t ->
   (unit, Vfs.errno) result
 (** Read, digest-verify and merge every [(name, digest)] segment under
-    [dir] into the db, oldest first.  A digest mismatch against the
-    manifest's record is [EIO]. *)
+    {!Checkpoint.dir} into the db, oldest first.  A digest mismatch
+    against the manifest's record is [EIO]. *)
 
 val install_handler :
   registry:Telemetry.registry ->
   Vfs.ops ->
-  dir:string ->
   segments:(string * string) list ->
   Provdb.t ->
   unit

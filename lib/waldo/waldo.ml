@@ -43,7 +43,6 @@ type t = {
   registry : Telemetry.registry;
   policy : policy;
   compact_keep : int option; (* versions per node kept hot; None = all *)
-  checkpoint_dir : string;
   mutable gen : int; (* generation of the last committed checkpoint *)
   mutable next_watermark : int; (* 1 + highest fully-ingested log seq *)
   mutable archives : (string * string) list; (* (name, digest), oldest first *)
@@ -52,7 +51,7 @@ type t = {
 }
 
 let create ~registry ?(tracer = Pvtrace.disabled) ?(policy = Disabled)
-    ?compact_keep ?(checkpoint_dir = "/.waldo") ~lower () =
+    ?compact_keep ~lower () =
   let c name = Telemetry.counter ~registry ("waldo." ^ name) in
   let g name = Telemetry.gauge ~registry ("waldo." ^ name) in
   {
@@ -64,7 +63,6 @@ let create ~registry ?(tracer = Pvtrace.disabled) ?(policy = Disabled)
     registry;
     policy;
     compact_keep;
-    checkpoint_dir;
     gen = 0;
     next_watermark = 0;
     archives = [];
@@ -150,8 +148,8 @@ let ingest_frame t = function
       ingest_bundle t bundle
 
 (* Offline replay: ingest a list of already-parsed frames through the same
-   production path `attach` uses.  pvcheck replays an unprocessed active
-   log through this so the checker cannot diverge from the ingester. *)
+   production path `attach` uses.  Recovery replays the log suffix
+   through this. *)
 let replay_frames t frames =
   Pvtrace.span t.tracer ~layer:"waldo" ~op:"replay" @@ fun () ->
   Pvtrace.set_outcome t.tracer "replayed";
@@ -213,7 +211,7 @@ let remove_if_exists lower path =
    untouched. *)
 let checkpoint t =
   Pvtrace.span t.tracer ~layer:"waldo" ~op:"checkpoint" @@ fun () ->
-  let dir = t.checkpoint_dir in
+  let dir = Checkpoint.dir in
   let gen = t.gen + 1 in
   let watermark = t.next_watermark in
   let keep = Option.value t.compact_keep ~default:max_int in
@@ -250,7 +248,7 @@ let checkpoint t =
   in
   (* COMMIT *)
   let* () =
-    Checkpoint.write_manifest t.lower ~dir
+    Checkpoint.write_manifest t.lower
       {
         Checkpoint.m_gen = gen;
         m_watermark = watermark;
@@ -267,11 +265,11 @@ let checkpoint t =
   t.archives <- archives;
   t.frames_since_ckpt <- 0;
   Telemetry.set t.i.ckpt_staleness 0.;
-  Archive.install_handler ~registry:t.registry t.lower ~dir ~segments:archives t.db;
+  Archive.install_handler ~registry:t.registry t.lower ~segments:archives t.db;
   Telemetry.incr t.i.checkpoints;
   Pvtrace.set_outcome t.tracer "committed";
   (* cleanup: everything from here is re-done by recover after a crash *)
-  let* truncated = Checkpoint.truncate_covered t.lower ~watermark in
+  let* truncated, _remaining = Checkpoint.truncate_covered t.lower ~watermark in
   Telemetry.add t.i.logs_truncated truncated;
   let* () =
     if old_gen > 0 then
@@ -340,26 +338,6 @@ let reseed_versions t =
         Hashtbl.replace t.ingest_version n.pnode n.max_version)
     (Provdb.all_nodes t.db)
 
-(* Persist the database through the file system (the paper's Waldo keeps
-   its databases on disk); [load] brings it back after a daemon restart.
-   The image is staged and renamed into place, so a crash mid-persist
-   leaves the previous image intact, and it is digest-framed so [load]
-   detects a damaged one instead of ingesting garbage. *)
-let persist t ~dir =
-  let image = Provdb.serialize t.db in
-  let* _digest = Checkpoint.write_atomic t.lower ~path:(dir ^ "/db.dat") image in
-  Ok ()
-
-let load ~registry ~lower ~dir () =
-  let* image, _digest = Checkpoint.read_verified lower ~path:(dir ^ "/db.dat") in
-  match Provdb.deserialize image with
-  | db ->
-      let t = create ~registry ~lower () in
-      Provdb.merge_into ~dst:(t.db : Provdb.t) ~src:db;
-      reseed_versions t;
-      Ok t
-  | exception Wire.Corrupt _ -> Error Vfs.EIO
-
 (* --- bounded recovery ------------------------------------------------------ *)
 
 type recovery_info = {
@@ -373,15 +351,6 @@ type recovery_info = {
   ri_archives : int;  (* cold-tier segments available for fault-in *)
 }
 
-let sorted_logs lower =
-  match Vfs.lookup_path lower "/.pass" with
-  | Error Vfs.ENOENT -> Ok []
-  | Error e -> Error e
-  | Ok pass_dir ->
-      let* names = lower.Vfs.readdir pass_dir in
-      let logs = List.filter_map (fun n -> Option.map (fun s -> (s, n)) (Checkpoint.log_seq n)) names in
-      Ok (List.sort (fun (a, _) (b, _) -> Int.compare a b) logs)
-
 let replay_log t ~seq ~name =
   let* image = Vfs.read_file t.lower ("/.pass/" ^ name) in
   let frames, _consumed = Wap_log.parse_log image in
@@ -390,11 +359,10 @@ let replay_log t ~seq ~name =
   Ok (List.length frames)
 
 (* Delete whatever a crashed checkpoint or interrupted cleanup left in
-   the checkpoint directory: staged *.tmp files and payload files of
-   generations the manifest does not reference.  The legacy stand-alone
-   [persist] image (db.dat) is never touched. *)
-let clean_strays lower ~dir keep =
-  match Vfs.lookup_path lower dir with
+   the checkpoint directory: staged *.tmp files and any file the
+   manifest does not reference. *)
+let clean_strays lower keep =
+  match Vfs.lookup_path lower Checkpoint.dir with
   | Error Vfs.ENOENT -> Ok ()
   | Error e -> Error e
   | Ok dir_ino ->
@@ -402,108 +370,79 @@ let clean_strays lower ~dir keep =
       List.fold_left
         (fun acc name ->
           let* () = acc in
-          if List.mem name keep || String.equal name "db.dat" then Ok ()
-          else lower.Vfs.unlink ~dir:dir_ino name)
+          if List.mem name keep then Ok () else lower.Vfs.unlink ~dir:dir_ino name)
         (Ok ()) names
 
-(* Restart Waldo from the durable checkpoint: load the image, restore
-   the in-flight transaction buffers from the sidecar, finish any
-   cleanup a crash interrupted, and replay only the post-watermark log
-   suffix.  Without a manifest this degrades to the full-history replay
-   the system always had. *)
-let recover ~registry ?tracer ?policy ?compact_keep ?(dir = "/.waldo") ~lower () =
-  let t = create ~registry ?tracer ?policy ?compact_keep ~checkpoint_dir:dir ~lower () in
-  let* manifest = Checkpoint.read_manifest lower ~dir in
-  match manifest with
-  | None ->
-      (* no checkpoint ever committed: replay all history *)
-      let* () = clean_strays lower ~dir [ Checkpoint.manifest_name ] in
-      let* logs = sorted_logs lower in
-      let* frames =
-        List.fold_left
-          (fun acc (seq, name) ->
-            let* n = acc in
-            let* k = replay_log t ~seq ~name in
-            Ok (n + k))
-          (Ok 0) logs
-      in
-      Ok
-        ( t,
-          {
-            ri_gen = 0;
-            ri_manifest = false;
-            ri_watermark = 0;
-            ri_logs_skipped = 0;
-            ri_logs_replayed = List.length logs;
-            ri_frames_replayed = frames;
-            ri_pending_restored = 0;
-            ri_archives = 0;
-          } )
-  | Some m ->
-      let* image, digest =
-        Checkpoint.read_verified lower ~path:(dir ^ "/" ^ m.Checkpoint.m_db_name)
-      in
-      let* db =
-        if not (String.equal digest m.Checkpoint.m_db_digest) then Error Vfs.EIO
-        else
-          match Provdb.deserialize image with
-          | db -> Ok db
-          | exception Wire.Corrupt _ -> Error Vfs.EIO
-      in
-      (* the image is adopted wholesale (not merged) so node floors and
-         the hot/cold tier split come back exactly as checkpointed *)
-      t.db <- db;
-      reseed_versions t;
-      t.gen <- m.Checkpoint.m_gen;
-      t.archives <- m.Checkpoint.m_archives;
-      t.next_watermark <- m.Checkpoint.m_watermark;
-      (* restore in-flight transaction buffers from the sidecar *)
-      let* pending_restored =
-        match m.Checkpoint.m_pending with
-        | None -> Ok 0
-        | Some (name, want) ->
-            let* payload, got = Checkpoint.read_verified lower ~path:(dir ^ "/" ^ name) in
-            if not (String.equal want got) then Error Vfs.EIO
-            else begin
-              let frames, _consumed = Wap_log.parse_log payload in
-              List.iter (ingest_frame t) frames;
-              Ok (Hashtbl.length t.pending_txns)
-            end
-      in
-      (* finish interrupted cleanup, idempotently *)
-      let keep =
-        Checkpoint.manifest_name :: m.Checkpoint.m_db_name
-        :: (match m.Checkpoint.m_pending with Some (n, _) -> [ n ] | None -> [])
-        @ List.map fst m.Checkpoint.m_archives
-      in
-      let* () = clean_strays lower ~dir keep in
-      let* logs = sorted_logs lower in
-      let covered, suffix =
-        List.partition (fun (seq, _) -> seq < m.Checkpoint.m_watermark) logs
-      in
-      let* truncated = Checkpoint.truncate_covered lower ~watermark:m.Checkpoint.m_watermark in
-      Telemetry.add t.i.logs_truncated truncated;
-      let* frames =
-        List.fold_left
-          (fun acc (seq, name) ->
-            let* n = acc in
-            let* k = replay_log t ~seq ~name in
-            Ok (n + k))
-          (Ok 0) suffix
-      in
-      Archive.install_handler ~registry t.lower ~dir ~segments:t.archives t.db;
-      Ok
-        ( t,
-          {
-            ri_gen = m.Checkpoint.m_gen;
-            ri_manifest = true;
-            ri_watermark = m.Checkpoint.m_watermark;
-            ri_logs_skipped = List.length covered;
-            ri_logs_replayed = List.length suffix;
-            ri_frames_replayed = frames;
-            ri_pending_restored = pending_restored;
-            ri_archives = List.length t.archives;
-          } )
+(* Adopt checkpoint [m]: its image wholesale (not merged), so node
+   floors and the hot/cold tier split come back exactly as checkpointed,
+   then the in-flight transaction buffers from its sidecar.  Returns how
+   many transactions the sidecar restored. *)
+let adopt t (m : Checkpoint.manifest) =
+  let read name = Checkpoint.read_verified t.lower ~path:(Checkpoint.dir ^ "/" ^ name) in
+  let* image, digest = read m.m_db_name in
+  let* db =
+    if not (String.equal digest m.m_db_digest) then Error Vfs.EIO
+    else
+      match Provdb.deserialize image with
+      | db -> Ok db
+      | exception Wire.Corrupt _ -> Error Vfs.EIO
+  in
+  t.db <- db;
+  reseed_versions t;
+  t.gen <- m.m_gen;
+  t.archives <- m.m_archives;
+  t.next_watermark <- m.m_watermark;
+  match m.m_pending with
+  | None -> Ok 0
+  | Some (name, want) ->
+      let* payload, got = read name in
+      if not (String.equal want got) then Error Vfs.EIO
+      else begin
+        let frames, _consumed = Wap_log.parse_log payload in
+        List.iter (ingest_frame t) frames;
+        Ok (Hashtbl.length t.pending_txns)
+      end
+
+(* Restart Waldo from its durable checkpoint: adopt the image and the
+   sidecar, finish any cleanup a crash interrupted, and replay only the
+   log suffix above the watermark.  A volume that never committed a
+   checkpoint is generation 0 (an empty db, watermark 0, no sidecar, no
+   archives), so its recovery is the full-history replay. *)
+let recover ~registry ?tracer ?policy ?compact_keep ~lower () =
+  let t = create ~registry ?tracer ?policy ?compact_keep ~lower () in
+  let* manifest = Checkpoint.read_manifest lower in
+  let* pending_restored, files =
+    match manifest with
+    | None -> Ok (0, [])
+    | Some m ->
+        let* n = adopt t m in
+        Ok (n, m.m_db_name :: List.map fst (Option.to_list m.m_pending @ m.m_archives))
+  in
+  let watermark = t.next_watermark in
+  let* () = clean_strays lower (Checkpoint.manifest_name :: files) in
+  let* skipped, suffix = Checkpoint.truncate_covered lower ~watermark in
+  Telemetry.add t.i.logs_truncated skipped;
+  let* frames =
+    List.fold_left
+      (fun acc (seq, name) ->
+        let* n = acc in
+        let* k = replay_log t ~seq ~name in
+        Ok (n + k))
+      (Ok 0) suffix
+  in
+  Archive.install_handler ~registry lower ~segments:t.archives t.db;
+  Ok
+    ( t,
+      {
+        ri_gen = t.gen;
+        ri_manifest = Option.is_some manifest;
+        ri_watermark = watermark;
+        ri_logs_skipped = skipped;
+        ri_logs_replayed = List.length suffix;
+        ri_frames_replayed = frames;
+        ri_pending_restored = pending_restored;
+        ri_archives = List.length t.archives;
+      } )
 
 let fault_in_archive t = Provdb.fault_in t.db
 

@@ -19,7 +19,6 @@ val create :
   ?tracer:Pvtrace.t ->
   ?policy:policy ->
   ?compact_keep:int ->
-  ?checkpoint_dir:string ->
   lower:Vfs.ops ->
   unit ->
   t
@@ -28,8 +27,8 @@ val create :
     receives the [waldo.*] instruments; [tracer] (default {!Pvtrace.disabled})
     records ingest spans and committed / orphaned transaction events.
     [compact_keep] bounds how many versions per node stay hot across a
-    checkpoint (the rest move to cold-tier archive segments); [checkpoint_dir]
-    (default ["/.waldo"]) holds the MANIFEST and its payload files. *)
+    checkpoint (the rest move to cold-tier archive segments).  Checkpoints
+    live under {!Checkpoint.dir}. *)
 
 val db : t -> Provdb.t
 
@@ -41,23 +40,12 @@ val process_log : t -> dir:Vfs.ino -> name:string -> (unit, Vfs.errno) result
 (** Ingest one closed log file and remove it. *)
 
 val replay_frames : t -> Wap_log.frame list -> unit
-(** Ingest already-parsed frames through the same path {!attach} uses —
-    offline fsck replays the unprocessed active log with this so the
-    checker cannot diverge from the ingester. *)
+(** Ingest already-parsed frames through the same path {!attach} uses;
+    {!recover} replays the log suffix with this. *)
 
 val pending_txns : t -> int list
 (** Transaction ids buffered but not yet ENDTXN-committed, sorted.  After
     a full replay these are the orphaned transactions. *)
-
-val persist : t -> dir:string -> (unit, Vfs.errno) result
-(** Write the database image to [dir/db.dat] on the lower file system.
-    The image is digest-framed and published with a temp-file + rename,
-    so a crash mid-persist leaves the previous image intact. *)
-
-val load :
-  registry:Telemetry.registry -> lower:Vfs.ops -> dir:string -> unit -> (t, Vfs.errno) result
-(** Restart the daemon from a persisted image.  A torn or tampered
-    image is [EIO], never a half-loaded database. *)
 
 val checkpoint : t -> (unit, Vfs.errno) result
 (** Take a durable checkpoint: compact the db per [compact_keep], stage
@@ -66,7 +54,7 @@ val checkpoint : t -> (unit, Vfs.errno) result
     MANIFEST rename, then truncate the WAP logs the image covers.  A
     crash at any disk tick leaves either the previous checkpoint (all
     logs intact) or the new one; {!recover} finishes interrupted
-    cleanup. *)
+    cleanup.  This is the only way to save the database. *)
 
 type recovery_info = {
   ri_gen : int;  (** checkpoint generation recovered from, 0 = none *)
@@ -84,15 +72,18 @@ val recover :
   ?tracer:Pvtrace.t ->
   ?policy:policy ->
   ?compact_keep:int ->
-  ?dir:string ->
   lower:Vfs.ops ->
   unit ->
   (t * recovery_info, Vfs.errno) result
-(** Restart Waldo after a crash: adopt the checkpoint image (preserving
-    compaction floors), restore in-flight transaction buffers from the
-    sidecar, finish any cleanup the crash interrupted, and replay only
-    the post-watermark log suffix.  Without a manifest this is the
-    original full-history replay. *)
+(** Restart Waldo after a crash or a daemon restart: adopt the checkpoint
+    image (preserving compaction floors), restore in-flight transaction
+    buffers from the sidecar, finish any cleanup the crash interrupted
+    (deleting every file in {!Checkpoint.dir} the MANIFEST does not
+    name), and replay only the post-watermark log suffix.  A volume with
+    no MANIFEST is generation 0: an empty db and watermark 0, so every
+    log is replayed.  A torn or tampered image or sidecar is [EIO],
+    never a half-loaded database.  This is the only way to bring a
+    database back from disk. *)
 
 val fault_in_archive : t -> unit
 (** Eagerly load the cold-tier archive segments into the db (normally

@@ -80,25 +80,30 @@ let test_class_names_roundtrip () =
         (List.mem (Pvmutate.flagged_by clazz) Pvcheck.pass_names))
     Pvmutate.all
 
-(* --- offline fsck: persisted db + live WAP log + recovery agreement ------- *)
+(* --- offline fsck: checkpoint + live WAP log + recovery agreement -------- *)
 
-let test_fsck_offline () =
-  let registry = Telemetry.create () in
+(* A volume with a [Manual]-policy Waldo attached: processed logs stay on
+   disk until a checkpoint covers them. *)
+let manual_volume registry =
   let clock = Simdisk.Clock.create () in
   let disk = Simdisk.Disk.create ~registry ~clock () in
-  let ext3 = Ext3.format disk in
-  let lower = Ext3.ops ext3 in
+  let lower = Ext3.ops (Ext3.format disk) in
   let ctx = Ctx.create ~machine:1 in
   let lasagna =
     Lasagna.create ~registry ~lower ~ctx ~volume:"vol0" ~charge:(Simdisk.Clock.advance clock) ()
   in
-  let waldo = Waldo.create ~registry ~lower () in
+  let waldo = Waldo.create ~registry ~policy:Waldo.Manual ~lower () in
   Waldo.attach waldo lasagna;
+  (lower, lasagna, waldo)
+
+let test_fsck_offline () =
+  let registry = Telemetry.create () in
+  let lower, lasagna, waldo = manual_volume registry in
   let ep = Lasagna.endpoint lasagna in
   let h = Helpers.ok (ep.pass_mkobj ~volume:(Some "vol0")) in
   Helpers.ok (Dpapi.disclose ep h [ Record.name "offline.dat" ]);
   ignore (Waldo.finalize waldo lasagna : int);
-  Helpers.ok_fs (Waldo.persist waldo ~dir:"/.waldo");
+  Helpers.ok_fs (Waldo.checkpoint waldo);
   (* leave an unfinished transaction in a live log: fsck must replay it
      and find Recovery and Waldo agreeing that it is orphaned *)
   ignore
@@ -149,6 +154,23 @@ let test_telemetry_counters () =
   check tint "two runs counted" 2 (v "pvcheck.runs");
   check tbool "findings counted" true (v "pvcheck.findings" > 0)
 
+(* Recovery replays only files named exactly like a WAP log: a copy of
+   log.0 at log.00 is not a second log, so fsck must see the live db. *)
+let test_fsck_ignores_noncanonical_log () =
+  let registry = Telemetry.create () in
+  let lower, lasagna, waldo = manual_volume registry in
+  let ep = Lasagna.endpoint lasagna in
+  let h = Helpers.ok (ep.pass_mkobj ~volume:(Some "vol0")) in
+  Helpers.ok
+    (Dpapi.disclose ep h [ Record.name "once.dat"; Record.make "PARAMS" (Pvalue.Str "x") ]);
+  ignore (Waldo.finalize waldo lasagna : int);
+  let live = Provdb.quad_count (Waldo.db waldo) in
+  let log0 = Helpers.ok_fs (Vfs.read_file lower "/.pass/log.0") in
+  ignore (Helpers.ok_fs (Vfs.write_file lower "/.pass/log.00" log0) : Vfs.ino);
+  let report = Helpers.ok_fs (Pvcheck.fsck ~registry ~lower ~volume:"vol0" ()) in
+  if not (Pvcheck.clean report) then fail_report "log.00 replayed as a log" report;
+  check tint "fsck sees the live db" live report.Pvcheck.r_quads
+
 let suite =
   [
     Alcotest.test_case "clean on all tier-1 workloads" `Slow test_clean_workloads;
@@ -159,4 +181,6 @@ let suite =
     Alcotest.test_case "offline fsck on empty volume" `Quick test_fsck_empty_volume;
     Alcotest.test_case "report json shape" `Quick test_report_json_shape;
     Alcotest.test_case "telemetry counters" `Quick test_telemetry_counters;
+    Alcotest.test_case "fsck ignores a non-canonical log name" `Quick
+      test_fsck_ignores_noncanonical_log;
   ]

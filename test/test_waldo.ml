@@ -175,11 +175,12 @@ let test_persist_and_load () =
     (Dpapi.disclose ep h
        [ Record.name "persisted-obj"; Record.make "PARAMS" (Pvalue.Strs [ "x"; "y" ]) ]);
   ignore (Waldo.finalize waldo lasagna : int);
-  (* daemon writes its database to disk and "restarts" *)
-  Helpers.ok_fs (Waldo.persist waldo ~dir:"/waldo-db");
-  let reborn =
-    Helpers.ok_fs (Waldo.load ~registry:(Telemetry.create ()) ~lower:(Ext3.ops ext3)
-      ~dir:"/waldo-db" ())
+  (* daemon checkpoints its database to disk and "restarts"; without a
+     checkpoint policy the processed logs are gone, so everything comes
+     back from the image *)
+  Helpers.ok_fs (Waldo.checkpoint waldo);
+  let reborn, _info =
+    Helpers.ok_fs (Waldo.recover ~registry:(Telemetry.create ()) ~lower:(Ext3.ops ext3) ())
   in
   let db = Waldo.db reborn in
   check tint "name index rebuilt" 1 (List.length (Provdb.find_by_name db "persisted-obj"));
@@ -288,9 +289,10 @@ let pass_logs lower =
         (fun n -> Checkpoint.log_seq n <> None)
         (Helpers.ok_fs (lower.Vfs.readdir dir))
 
-(* Satellite regression: persist stages the image and renames it into
-   place, so a crash at ANY write tick of a re-persist leaves a fully
-   loadable image — the old one or the new one, never a torn hybrid. *)
+(* A checkpoint stages its files and commits with the manifest rename,
+   so a crash at ANY write tick of a second checkpoint leaves a fully
+   recoverable generation — the old one or the new one, never a torn
+   hybrid. *)
 let test_persist_atomic_under_crash () =
   let populate () =
     let disk, ext3, lasagna, waldo = fresh_ckpt () in
@@ -300,44 +302,51 @@ let test_persist_atomic_under_crash () =
       (Dpapi.disclose ep h
          [ Record.name "stable"; Record.make "PARAMS" (Pvalue.Str "v1") ]);
     ignore (Waldo.finalize waldo lasagna : int);
-    Helpers.ok_fs (Waldo.persist waldo ~dir:"/waldo-db");
+    Helpers.ok_fs (Waldo.checkpoint waldo);
     (* mutate the db so the second image differs from the first *)
     Provdb.add_record (Waldo.db waldo) h.Dpapi.pnode ~version:0
       (Record.make "PARAMS" (Pvalue.Str "v2"));
     (disk, ext3, waldo, h)
   in
-  (* measure how many block writes a clean re-persist costs *)
-  let persist_writes =
+  let recover lower = Waldo.recover ~registry:(Telemetry.create ()) ~lower () in
+  (* measure how many block writes a clean second checkpoint costs *)
+  let checkpoint_writes =
     let disk, _ext3, waldo, _h = populate () in
     let before = (Simdisk.Disk.stats disk).writes in
-    Helpers.ok_fs (Waldo.persist waldo ~dir:"/waldo-db");
+    Helpers.ok_fs (Waldo.checkpoint waldo);
     (Simdisk.Disk.stats disk).writes - before
   in
-  check tbool "re-persist issues writes" true (persist_writes > 0);
-  for k = 1 to persist_writes do
+  check tbool "second checkpoint issues writes" true (checkpoint_writes > 0);
+  for k = 1 to checkpoint_writes do
     let disk, _ext3, waldo, h = populate () in
     Simdisk.Disk.schedule_crash disk ~after_writes:k;
-    (match Waldo.persist waldo ~dir:"/waldo-db" with
+    (match Waldo.checkpoint waldo with
     | Ok () | Error _ -> ());
     Simdisk.Disk.revive disk;
     let ext3 = Ext3.mount disk in
-    let reborn =
-      Helpers.ok_fs
-        (Waldo.load ~registry:(Telemetry.create ()) ~lower:(Ext3.ops ext3) ~dir:"/waldo-db" ())
-    in
+    let reborn, _info = Helpers.ok_fs (recover (Ext3.ops ext3)) in
     let quads = Provdb.records_all (Waldo.db reborn) h.Dpapi.pnode in
     let n = List.length quads in
     if n <> 2 && n <> 3 then
-      Alcotest.failf "crash at write %d: image has %d records (want 2 or 3)" k n
+      Alcotest.failf "crash at write %d: recovered %d records (want 2 or 3)" k n
   done;
-  (* a tampered image is rejected outright, never half-loaded *)
-  let _disk, ext3, _waldo, _h = populate () in
-  let lower = Ext3.ops ext3 in
-  ignore (Helpers.ok_fs (Vfs.write_file lower "/waldo-db/db.dat" "garbage") : Vfs.ino);
-  match Waldo.load ~registry:(Telemetry.create ()) ~lower ~dir:"/waldo-db" () with
-  | Error Vfs.EIO -> ()
-  | Ok _ -> Alcotest.fail "tampered image accepted"
-  | Error e -> Alcotest.failf "unexpected errno %s" (Vfs.errno_to_string e)
+  (* a tampered image is rejected outright, never half-loaded: garbage
+     in the image file, and a well-framed image whose digest is not the
+     one the MANIFEST recorded *)
+  let image = Checkpoint.dir ^ "/" ^ Checkpoint.image_name ~gen:1 in
+  let tampered write =
+    let _disk, ext3, _waldo, _h = populate () in
+    let lower = Ext3.ops ext3 in
+    write lower;
+    match recover lower with
+    | Error Vfs.EIO -> ()
+    | Ok _ -> Alcotest.fail "tampered image accepted"
+    | Error e -> Alcotest.failf "unexpected errno %s" (Vfs.errno_to_string e)
+  in
+  tampered (fun lower -> ignore (Helpers.ok_fs (Vfs.write_file lower image "garbage") : Vfs.ino));
+  tampered (fun lower ->
+      let other = Provdb.serialize (Provdb.create ()) in
+      ignore (Helpers.ok_fs (Checkpoint.write_atomic lower ~path:image other) : string))
 
 let test_manual_checkpoint_truncates () =
   let _disk, ext3, lasagna, waldo =
@@ -356,7 +365,7 @@ let test_manual_checkpoint_truncates () =
   let after = pass_logs lower in
   check tbool "checkpoint truncates covered logs" true
     (List.length after < List.length retained);
-  match Helpers.ok_fs (Checkpoint.read_manifest lower ~dir:"/.waldo") with
+  match Helpers.ok_fs (Checkpoint.read_manifest lower) with
   | None -> Alcotest.fail "manifest missing after checkpoint"
   | Some m ->
       check tint "first generation" 1 m.Checkpoint.m_gen;
@@ -379,7 +388,7 @@ let test_every_frames_auto_checkpoint () =
     Helpers.ok (Dpapi.disclose ep h [ Record.name (Printf.sprintf "auto%d" i) ])
   done;
   ignore (Waldo.finalize waldo lasagna : int);
-  match Helpers.ok_fs (Checkpoint.read_manifest (Ext3.ops ext3) ~dir:"/.waldo") with
+  match Helpers.ok_fs (Checkpoint.read_manifest (Ext3.ops ext3)) with
   | Some m -> check tbool "auto checkpoint committed" true (m.Checkpoint.m_gen >= 1)
   | None -> Alcotest.fail "Every_frames never checkpointed"
 
@@ -508,8 +517,8 @@ let golden_dump lower db names =
   pr "counts %d %d %d %d %d %d %b %b\n" (Provdb.node_count db) (Provdb.quad_count db)
     (Provdb.edge_count db) (Provdb.file_count db) (Provdb.db_bytes db) (Provdb.index_bytes db)
     (Provdb.has_cold db) (Provdb.cold_loaded db);
-  (match Helpers.ok_fs (Checkpoint.read_manifest lower ~dir:"/.waldo") with
-  | Some m -> Archive.install_handler ~registry:(Telemetry.create ()) lower ~dir:"/.waldo"
+  (match Helpers.ok_fs (Checkpoint.read_manifest lower) with
+  | Some m -> Archive.install_handler ~registry:(Telemetry.create ()) lower
       ~segments:m.Checkpoint.m_archives db
   | None -> ());
   Buffer.contents b
@@ -827,7 +836,7 @@ let prop_live_is_rebuild =
         in
         let check_ckpt () =
           let db = Waldo.db w in
-          let m = Option.get (Helpers.ok_fs (Checkpoint.read_manifest lower ~dir:"/.waldo")) in
+          let m = Option.get (Helpers.ok_fs (Checkpoint.read_manifest lower)) in
           let image, _ = Helpers.ok_fs (Checkpoint.read_verified lower ~path:("/.waldo/" ^ m.Checkpoint.m_db_name)) in
           let rebuilt = Provdb.deserialize image in
           (* without compaction the checkpoint leaves the db as ingested *)
@@ -846,8 +855,7 @@ let prop_live_is_rebuild =
               | Ok () -> ()
               | Error e -> QCheck2.Test.fail_reportf "verify_indexes: %s" e
             end;
-            Archive.install_handler ~registry lower ~dir:"/.waldo"
-                ~segments:m.Checkpoint.m_archives db
+            Archive.install_handler ~registry lower ~segments:m.Checkpoint.m_archives db
           end
         in
         let step = function
