@@ -695,7 +695,7 @@ let recovery_bench ~scale =
     i4.Waldo.ri_frames_replayed <= i1.Waldo.ri_frames_replayed + 128
     && 4 * i4.Waldo.ri_frames_replayed <= f4.Waldo.ri_frames_replayed
     && ns4 < full_ns4
-    && List.for_all (fun (_, _, i, _, _, _, _) -> i.Waldo.ri_manifest) rows
+    && List.for_all (fun (_, _, i, _, _, _, _) -> i.Waldo.ri_gen > 0) rows
   in
   (* hot size depends on where in the checkpoint cycle the crash lands
      (the not-yet-covered suffix lives hot), so compare 4x against the

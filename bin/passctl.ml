@@ -302,7 +302,7 @@ let cmd_checkpoint volume json =
             [
               ("volume", Telemetry.Json.Str volume);
               ("gen", Telemetry.Json.Int info.ri_gen);
-              ("manifest", Telemetry.Json.Bool info.ri_manifest);
+              ("manifest", Telemetry.Json.Bool (info.ri_gen > 0));
               ("watermark", Telemetry.Json.Int info.ri_watermark);
               ("logs_skipped", Telemetry.Json.Int info.ri_logs_skipped);
               ("logs_replayed", Telemetry.Json.Int info.ri_logs_replayed);

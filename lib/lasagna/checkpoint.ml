@@ -127,6 +127,8 @@ let decode_manifest image =
   if not (String.equal (Wire.get_string image pos) manifest_magic) then
     Wire.corrupt "checkpoint: bad manifest magic";
   let m_gen = Wire.get_i64 image pos in
+  (* generation 0 is "no checkpoint"; a manifest never carries it *)
+  if m_gen < 1 then Wire.corrupt "checkpoint: manifest generation below 1";
   let m_watermark = Wire.get_i64 image pos in
   let m_db_name = Wire.get_string image pos in
   let m_db_digest = Wire.get_string image pos in

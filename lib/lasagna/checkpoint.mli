@@ -61,7 +61,7 @@ val write_manifest : Vfs.ops -> manifest -> (unit, Vfs.errno) result
 
 val read_manifest : Vfs.ops -> (manifest option, Vfs.errno) result
 (** [Ok None] when no checkpoint was ever committed; [EIO] on a corrupt
-    manifest. *)
+    manifest, including one whose generation is below 1. *)
 
 val log_seq : string -> int option
 (** Parse the sequence number out of a WAP log name ["log.<n>"]: the

@@ -7,9 +7,9 @@
    plain value is a leaf.
 
    Evaluation is by environments: the FROM clause is a series of bindings,
-   each extending every current environment with one binding of its
-   variable to an endpoint of its path.  WHERE filters environments; the
-   SELECT clause projects (or aggregates) them.
+   each extending the current environment with one binding of its
+   variable to an endpoint of its path.  WHERE filters each complete
+   environment; the SELECT clause projects (or aggregates) the survivors.
 
    Cold-tier transparency: every graph access below goes through the
    Provdb accessors (records_at / out_edges / in_edges / attr_values),
@@ -46,14 +46,21 @@ let node_pseudo db p v = function
   | "pnode" -> [ Pvalue.Int (Pnode.to_int p) ]
   | _ -> []
 
+(* [attr_is upper name] is [String.uppercase_ascii name = upper],
+   compared in place rather than on an upper-cased copy of [name] *)
+let rec attr_is_from upper name i =
+  i = String.length upper
+  || Char.equal (Char.uppercase_ascii name.[i]) upper.[i] && attr_is_from upper name (i + 1)
+
+let attr_is upper name = String.length name = String.length upper && attr_is_from upper name 0
+
 let attr_values db p _v attr =
   (* attribute lookup searches every version of the object: identity
      records (NAME, TYPE, ARGV …) are written once, not per version *)
   let upper = String.uppercase_ascii attr in
   let from_records =
     List.filter_map
-      (fun (q : Provdb.quad) ->
-        if String.equal (String.uppercase_ascii q.q_attr) upper then Some q.q_value else None)
+      (fun (q : Provdb.quad) -> if attr_is upper q.q_attr then Some q.q_value else None)
       (Provdb.records_all db p)
   in
   match (from_records, node_pseudo db p _v attr) with
@@ -68,7 +75,7 @@ let forward_step db attr = function
       let upper = String.uppercase_ascii attr in
       List.filter_map
         (fun (q : Provdb.quad) ->
-          if String.equal (String.uppercase_ascii q.q_attr) upper then
+          if attr_is upper q.q_attr then
             match q.q_value with
             | Pvalue.Xref x -> Some (Node (x.pnode, x.version))
             | other -> Some (Value other)
@@ -83,8 +90,7 @@ let inverse_step db attr = function
       let upper = String.uppercase_ascii attr in
       List.filter_map
         (fun (src, srcv, a, _dstv) ->
-          if String.equal (String.uppercase_ascii a) upper then Some (Node (src, srcv))
-          else None)
+          if attr_is upper a then Some (Node (src, srcv)) else None)
         (Provdb.in_edges db p)
 
 let any_step db = function
@@ -365,23 +371,27 @@ let rec eval_cond db env = function
         (fun row -> match row with [ it ] -> List.exists (item_equal it) vals | _ -> false)
         rows
 
+(* Depth-first nested loop: each binding extends the current environment
+   one endpoint at a time, and WHERE judges each complete environment as
+   soon as it exists, so the FROM product is never held.  Environments
+   come out in lexicographic binding order, and an unbound root variable
+   fails on the first environment to reach its binding, before any WHERE
+   runs. *)
 and eval_envs db outer (q : query) =
-  let envs =
-    List.fold_left
-      (fun envs (src : source) ->
-        List.concat_map
-          (fun env ->
-            let start = root_items db env src.root in
-            let endpoints =
-              match src.path with None -> start | Some p -> eval_path db p start
-            in
-            List.map (fun it -> (src.binder, it) :: env) endpoints)
-          envs)
-      [ outer ] q.froms
+  let keep env acc =
+    match q.where with
+    | Some cond when not (eval_cond db env cond) -> acc
+    | Some _ | None -> env :: acc
   in
-  match q.where with
-  | None -> envs
-  | Some cond -> List.filter (fun env -> eval_cond db env cond) envs
+  let rec bind froms env acc =
+    match froms with
+    | [] -> keep env acc
+    | (src : source) :: rest ->
+        let start = root_items db env src.root in
+        let endpoints = match src.path with None -> start | Some p -> eval_path db p start in
+        List.fold_left (fun acc it -> bind rest ((src.binder, it) :: env) acc) acc endpoints
+  in
+  List.rev (bind q.froms outer [])
 
 and eval_rows db outer (q : query) = project db q (eval_envs db outer q)
 
@@ -393,8 +403,10 @@ let apply_limit (q : query) rows =
   match q.limit with Some n -> truncate (max 0 n) rows | None -> rows
 
 (* The whole naive pipeline: the reference oracle the cost-based planner
-   is checked against.  O(graph) per binding — every class root
-   enumerates the full node table and dependent paths are re-walked per
-   environment — which is exactly why execution goes through Pql_exec;
-   this stays as the semantics definition. *)
+   is checked against.  A depth-first nested loop that filters each
+   complete environment as it is built, so it holds only the survivors;
+   still O(graph) per binding — every class root enumerates the full node
+   table and dependent paths are re-walked per environment, with no
+   pushdown, memo or index — which is exactly why execution goes through
+   Pql_exec; this stays as the semantics definition. *)
 let reference_rows db q = apply_limit q (eval_rows db [] q)

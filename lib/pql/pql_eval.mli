@@ -53,8 +53,12 @@ val eval_cond : Provdb.t -> env -> Pql_ast.cond -> bool
     @raise Error. *)
 
 val eval_envs : Provdb.t -> env -> Pql_ast.query -> env list
-(** The naive FROM/WHERE pipeline: every binding extends every
-    environment, then WHERE filters.  @raise Error. *)
+(** The naive FROM/WHERE pipeline, a depth-first nested loop: each
+    binding extends the current environment one endpoint at a time and
+    WHERE filters each complete environment as soon as it is built, so
+    only the survivors are held.  Survivors come in lexicographic
+    binding order.  Still O(graph) per binding: every class root and
+    path is re-evaluated for every environment.  @raise Error. *)
 
 val project : Provdb.t -> Pql_ast.query -> env list -> item list list
 (** SELECT over surviving environments: aggregation or per-environment
@@ -64,6 +68,8 @@ val project : Provdb.t -> Pql_ast.query -> env list -> item list list
 val apply_limit : Pql_ast.query -> item list list -> item list list
 
 val reference_rows : Provdb.t -> Pql_ast.query -> item list list
-(** Evaluate a parsed query naively end to end; rows in deterministic
-    order.  This is the planner's correctness oracle.
+(** Evaluate a parsed query naively end to end ({!eval_envs}, then
+    {!project} and {!apply_limit}); rows in deterministic order.  This
+    is the planner's correctness oracle: a depth-first nested loop with
+    no pushdown, memo or index, O(graph) per binding.
     @raise Error on unbound variables or type mismatches. *)

@@ -342,7 +342,6 @@ let reseed_versions t =
 
 type recovery_info = {
   ri_gen : int;  (* checkpoint generation recovered from, 0 = none *)
-  ri_manifest : bool;  (* a durable checkpoint was found *)
   ri_watermark : int;  (* logs below this were covered by the image *)
   ri_logs_skipped : int;  (* covered logs found on disk and not replayed *)
   ri_logs_replayed : int;  (* suffix logs replayed after the image *)
@@ -435,7 +434,6 @@ let recover ~registry ?tracer ?policy ?compact_keep ~lower () =
     ( t,
       {
         ri_gen = t.gen;
-        ri_manifest = Option.is_some manifest;
         ri_watermark = watermark;
         ri_logs_skipped = skipped;
         ri_logs_replayed = List.length suffix;

@@ -58,7 +58,6 @@ val checkpoint : t -> (unit, Vfs.errno) result
 
 type recovery_info = {
   ri_gen : int;  (** checkpoint generation recovered from, 0 = none *)
-  ri_manifest : bool;  (** a durable checkpoint was found *)
   ri_watermark : int;  (** logs below this were covered by the image *)
   ri_logs_skipped : int;  (** covered logs found on disk, not replayed *)
   ri_logs_replayed : int;  (** suffix logs replayed after the image *)

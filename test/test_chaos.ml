@@ -668,7 +668,7 @@ let test_crash_during_checkpoint_sweep () =
       let w2, info =
         ok_fs (Waldo.recover ~registry ~policy:Waldo.Manual ~compact_keep:1 ~lower ())
       in
-      (if info.Waldo.ri_manifest then begin
+      (if info.Waldo.ri_gen > 0 then begin
          (* the MANIFEST rename had landed: the new checkpoint wins *)
          incr postcommit;
          check tint (Printf.sprintf "tick %d: recovered generation" k) 1 info.Waldo.ri_gen;

@@ -428,7 +428,7 @@ let test_checkpoint_recover_roundtrip () =
   let w2, info =
     Helpers.ok_fs (Waldo.recover ~registry:(Telemetry.create ()) ~lower:(Ext3.ops ext3) ())
   in
-  check tbool "manifest found" true info.Waldo.ri_manifest;
+  check tbool "manifest found" true (info.Waldo.ri_gen > 0);
   check tint "recovered generation" 1 info.Waldo.ri_gen;
   check tint "covered logs already truncated" 0 info.Waldo.ri_logs_skipped;
   check tbool "suffix logs replayed" true (info.Waldo.ri_logs_replayed >= 1);
@@ -925,6 +925,24 @@ let test_provdb_old_format_rejected () =
   | exception Wire.Corrupt _ -> ()
   | _ -> Alcotest.fail "PROVDB3 image accepted"
 
+(* Generation 0 means "no checkpoint": a MANIFEST that claims it is
+   corrupt, and recovery refuses it rather than adopting its image. *)
+let test_manifest_gen0_rejected () =
+  let _disk, ext3, lasagna, waldo = fresh_ckpt ~policy:Waldo.Manual ~log_max:256 () in
+  let ep = Lasagna.endpoint lasagna in
+  let h = Helpers.ok (ep.pass_mkobj ~volume:(Some "vol0")) in
+  Helpers.ok (Dpapi.disclose ep h [ Record.name "gen0" ]);
+  ignore (Waldo.finalize waldo lasagna : int);
+  Helpers.ok_fs (Waldo.checkpoint waldo);
+  let lower = Ext3.ops ext3 in
+  (match Helpers.ok_fs (Checkpoint.read_manifest lower) with
+  | Some m -> Helpers.ok_fs (Checkpoint.write_manifest lower { m with Checkpoint.m_gen = 0 })
+  | None -> Alcotest.fail "manifest missing after checkpoint");
+  match Waldo.recover ~registry:(Telemetry.create ()) ~lower () with
+  | Error Vfs.EIO -> ()
+  | Ok (_, info) -> Alcotest.failf "generation-0 manifest adopted (ri_gen %d)" info.Waldo.ri_gen
+  | Error e -> Alcotest.failf "unexpected errno %s" (Vfs.errno_to_string e)
+
 let suite =
   [
     Alcotest.test_case "ingestion fidelity" `Quick test_ingestion_fidelity;
@@ -951,4 +969,8 @@ let suite =
     Alcotest.test_case "log names are exact" `Quick test_log_seq_exact;
   ]
   @ prop_cases
-  @ [ Alcotest.test_case "provdb rejects PROVDB3 images" `Quick test_provdb_old_format_rejected ]
+  @ [
+      Alcotest.test_case "provdb rejects PROVDB3 images" `Quick test_provdb_old_format_rejected;
+      Alcotest.test_case "recover rejects a generation-0 manifest" `Quick
+        test_manifest_gen0_rejected;
+    ]
